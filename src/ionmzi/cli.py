@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -31,6 +32,8 @@ _SCENARIOS = ("single_pass", "iterate", "mixed", "monte_carlo", "throughput", "s
 _SWEEP_SCENARIOS = ("single_pass", "iterate", "mixed")
 _SWEEP_AXES = ("a2", "alpha2", "fidelity")
 _PRESETS = ("paper-mixed", "paper-product", "paper-cavity")
+#: Config keys of a custom throughput operating point.
+_OPERATING_POINT = ("p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
 
 
 class UsageError(Exception):
@@ -71,13 +74,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        for key in values:
-            if key not in known:
+        """Build a config, rejecting unknown keys and values of the wrong type.
+
+        Numbers must be finite; an integer given for a float key becomes a float.
+        """
+        annotations = {f.name: f.type for f in fields(cls)}
+        checked = {}
+        for key, value in values.items():
+            if key not in annotations:
                 raise UsageError(f"unknown config key: {key}")
-        if "scenario" not in values:
+            checked[key] = _typed(key, value, annotations[key])
+        if "scenario" not in checked:
             raise UsageError("config needs a scenario")
-        return cls(**values)
+        return cls(**checked)
+
+
+def _typed(key: str, value, annotation: str):
+    """``value`` checked against a field annotation such as ``float | None``."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    integral = isinstance(value, int) and not isinstance(value, bool)
+    if (kind == "str" and isinstance(value, str)) or (kind == "int" and integral):
+        return value
+    if kind == "float" and (integral or isinstance(value, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise UsageError(f"{key} must be a finite number")
+        return number
+    expected = {"str": "a string", "int": "an integer", "float": "a number"}[kind]
+    raise UsageError(f"{key} must be {expected}" + (" or null" if optional else ""))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,6 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -148,10 +183,6 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {err}") from err
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    for key in values:
-        if key not in known:
-            raise UsageError(f"unknown config key: {key}")
     return values
 
 
@@ -186,6 +217,16 @@ def _validate(cfg: RunConfig) -> None:
         for bound in (cfg.sweep_from, cfg.sweep_to):
             if not 0.0 <= bound <= 1.0:
                 raise UsageError(f"{cfg.axis} must lie in [0, 1]")
+    for name in ("p_cav", "detector_efficiency", "outcoupling"):
+        value = getattr(cfg, name)
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise UsageError(f"{name} must lie in [0, 1]")
+    if cfg.photon_rate is not None and cfg.photon_rate < 0.0:
+        raise UsageError("photon_rate must be nonnegative")
+    if cfg.preset is not None:
+        given = [name for name in _OPERATING_POINT if getattr(cfg, name) is not None]
+        if given:
+            raise UsageError(f"--preset fixes the operating point; drop {', '.join(given)}")
     if cfg.scenario == "throughput" and cfg.preset is None:
         needed = ("p_cav", "detector_efficiency", "photon_rate", "protocol")
         if any(getattr(cfg, name) is None for name in needed):
@@ -205,8 +246,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     Flags that were given explicitly override config-file keys; unknown
     config keys are rejected by name.
     """
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = _parser().parse_args(argv)
     given = {k: v for k, v in vars(namespace).items() if v is not None and k != "config"}
     given["scenario"] = given["scenario"].replace("-", "_")
     merged: dict = {}

@@ -17,7 +17,10 @@ from __future__ import annotations
 from enum import Enum
 
 from .states import (
-    BasisState,
+    LEVEL_INDEX,
+    MODE_INDEX,
+    MODES,
+    PAIRS,
     Direction,
     IonId,
     IonLevel,
@@ -69,6 +72,34 @@ _MIRROR_STATION = {
 _DETECTOR_PORT = {DetectorPort.UPPER_OUT: Port.UPPER, DetectorPort.LOWER_OUT: Port.LOWER}
 
 
+def _element_tables() -> tuple[list, dict[IonId, list[int]]]:
+    """Per basis index: the splitter's (crossed-port ket, reflection phase), None off
+    the beam; and each ion's absorption target, the ket itself where it absorbs nothing.
+    """
+    size = len(MODES) * PAIRS
+    splitter: list[tuple[int, complex] | None] = [None] * size
+    absorption = {IonId.ION_U: list(range(size)), IonId.ION_L: list(range(size))}
+    for here, mode in enumerate(MODES):
+        if mode.kind is not ModeKind.PROPAGATING:
+            continue
+        crossed_mode = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
+        crossed = MODE_INDEX[crossed_mode]
+        ion = IonId.ION_U if mode.port is Port.UPPER else IonId.ION_L
+        scattered = MODE_INDEX[PhotonMode.scattered(ion)]
+        absorbing = LEVEL_INDEX[_ABSORBING_LEVEL[mode.polarization]]
+        weight = 3 if ion is IonId.ION_U else 1  # place value of this ion's level in a pair index
+        for pair in range(PAIRS):
+            splitter[here * PAIRS + pair] = (crossed * PAIRS + pair, _REFLECTION_PHASE[mode.direction])
+            if pair // weight % 3 == absorbing:  # only this ion's level changes, to the ground level
+                dropped = pair + weight * (_GROUND - absorbing)
+                absorption[ion][here * PAIRS + pair] = scattered * PAIRS + dropped
+    return splitter, absorption
+
+
+_GROUND = LEVEL_INDEX[IonLevel.G]
+_SPLITTER, _ABSORPTION = _element_tables()
+
+
 def beam_splitter(state: PureState, splitter: BeamSplitterId) -> PureState:
     """Apply a 50-50 nonpolarizing splitter to every propagating term.
 
@@ -79,17 +110,17 @@ def beam_splitter(state: PureState, splitter: BeamSplitterId) -> PureState:
     which crossing is meant.
     """
     del splitter  # identical optics at both crossings
-    out: list[tuple[BasisState, complex]] = []
-    for basis, amp in state.items():
-        mode = basis.photon
-        if mode.kind is not ModeKind.PROPAGATING:
-            out.append((basis, amp))
+    out: list[tuple[int, complex]] = []
+    for index, amp in state.indexed_items():
+        entry = _SPLITTER[index]
+        if entry is None:
+            out.append((index, amp))
             continue
-        crossed = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
+        crossed, phase = entry
         half = amp * _SQRT_HALF
-        out.append((BasisState(crossed, basis.ion_u, basis.ion_l), half))
-        out.append((basis, half * _REFLECTION_PHASE[mode.direction]))
-    return PureState(out)
+        out.append((crossed, half))
+        out.append((index, half * phase))
+    return PureState(indexed=out)
 
 
 def ion_interaction(state: PureState, ion: IonId) -> PureState:
@@ -109,21 +140,8 @@ def ion_interaction(state: PureState, ion: IonId) -> PureState:
     single-photon run only ever has one polarization and one direction
     in flight, which keeps the map norm-preserving.
     """
-    out: list[tuple[BasisState, complex]] = []
-    for basis, amp in state.items():
-        mode = basis.photon
-        level = basis.ion_u if ion is IonId.ION_U else basis.ion_l
-        if (
-            mode.kind is ModeKind.PROPAGATING
-            and mode.port is ion.arm
-            and _ABSORBING_LEVEL[mode.polarization] is level
-        ):
-            if ion is IonId.ION_U:
-                basis = BasisState(PhotonMode.scattered(ion), IonLevel.G, basis.ion_l)
-            else:
-                basis = BasisState(PhotonMode.scattered(ion), basis.ion_u, IonLevel.G)
-        out.append((basis, amp))
-    return PureState(out)
+    target = _ABSORPTION[ion]
+    return PureState(indexed=((target[index], amp) for index, amp in state.indexed_items()))
 
 
 def mirror(state: PureState, at: MirrorId) -> PureState:
@@ -135,17 +153,16 @@ def mirror(state: PureState, at: MirrorId) -> PureState:
     vacuum terms pass through.
     """
     port, outward = _MIRROR_STATION[at]
-    out: list[tuple[BasisState, complex]] = []
-    for basis, amp in state.items():
-        mode = basis.photon
-        if mode.kind is not ModeKind.PROPAGATING:
-            out.append((basis, amp))
-            continue
-        if mode.port is not port or mode.direction is not outward:
-            raise ValueError("photon escaped cavity")
-        back = PhotonMode.propagating(port, _FLIP[outward], mode.polarization)
-        out.append((BasisState(back, basis.ion_u, basis.ion_l), amp))
-    return PureState(out)
+    out: list[tuple[int, complex]] = []
+    for index, amp in state.indexed_items():
+        mode = MODES[index // PAIRS]
+        if mode.kind is ModeKind.PROPAGATING:
+            if mode.port is not port or mode.direction is not outward:
+                raise ValueError("photon escaped cavity")
+            back = PhotonMode.propagating(port, _FLIP[outward], mode.polarization)
+            index = PAIRS * MODE_INDEX[back] + index % PAIRS
+        out.append((index, amp))
+    return PureState(indexed=out)
 
 
 def detect(state: PureState, port: DetectorPort) -> tuple[float, PureState]:
@@ -156,14 +173,14 @@ def detect(state: PureState, port: DetectorPort) -> tuple[float, PureState]:
     normalized; scattered terms never reach the detectors.
     """
     want = _DETECTOR_PORT[port]
-    picked: list[tuple[BasisState, complex]] = []
-    prob = 0.0
-    for basis, amp in state.items():
-        mode = basis.photon
-        if mode.kind is ModeKind.PROPAGATING and mode.port is want:
-            prob += abs2(amp)
-            picked.append((BasisState(PhotonMode.vacuum(), basis.ion_u, basis.ion_l), amp))
+    vacuum = PAIRS * MODE_INDEX[PhotonMode.vacuum()]
+    picked = [
+        (vacuum + index % PAIRS, amp)
+        for index, amp in state.indexed_items()
+        if MODES[index // PAIRS].port is want
+    ]
+    prob = sum(abs2(amp) for _, amp in picked)
     if prob < 1e-12:
         raise ValueError("no support at detector")
-    _, post = normalize(PureState(picked))
+    _, post = normalize(PureState(indexed=picked))
     return prob, post

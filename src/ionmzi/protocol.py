@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 from .elements import BeamSplitterId, beam_splitter, ion_interaction
 from .states import (
+    MODE_INDEX,
+    MODES,
     NORM_TOL,
-    BasisState,
+    PAIRS,
     Direction,
     IonId,
-    IonLevel,
     MixedState,
-    ModeKind,
     PhotonMode,
     Polarization,
     Port,
@@ -40,6 +40,8 @@ from .states import (
 )
 
 _SQRT_HALF = 2.0 ** -0.5
+#: Pair indices (3 * ion_u + ion_l) of |m+,m+>, |m+,m->, |m-,m+>, |m-,m->: IonPairState's field order.
+_METASTABLE_PAIRS = (0, 1, 3, 4)
 
 #: Photon entry stations that a mirror could close off.
 ENTRY_LOWER_FORWARD = (Port.LOWER, Direction.FORWARD)
@@ -93,14 +95,6 @@ class IonPairState:
     def norm_squared(self) -> float:
         return abs2(self.c_pp) + abs2(self.c_pm) + abs2(self.c_mp) + abs2(self.c_mm)
 
-    def amplitudes(self) -> dict[tuple[IonLevel, IonLevel], complex]:
-        return {
-            (IonLevel.M_PLUS, IonLevel.M_PLUS): self.c_pp,
-            (IonLevel.M_PLUS, IonLevel.M_MINUS): self.c_pm,
-            (IonLevel.M_MINUS, IonLevel.M_PLUS): self.c_mp,
-            (IonLevel.M_MINUS, IonLevel.M_MINUS): self.c_mm,
-        }
-
     def fidelity(self, target: "IonPairState") -> float:
         """|<target|self>|^2."""
         overlap = (
@@ -139,15 +133,9 @@ def bell_phi_minus() -> IonPairState:
 
 def ion_pair_pure_state(ions: IonPairState, photon: PhotonMode | None = None) -> PureState:
     """Joint PureState of a photon mode (vacuum by default) with an ion pair."""
-    mode = photon if photon is not None else PhotonMode.vacuum()
-    return PureState(
-        (BasisState(mode, levels[0], levels[1]), amp) for levels, amp in ions.amplitudes().items()
-    )
-
-
-def _check_entry(entry: Entry) -> None:
-    if entry not in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
-        raise ValueError("photon must enter at a mirror-side port")
+    base = PAIRS * MODE_INDEX[photon if photon is not None else PhotonMode.vacuum()]
+    amps = (ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm)
+    return PureState(indexed=((base + pair, amp) for pair, amp in zip(_METASTABLE_PAIRS, amps)))
 
 
 def propagate(state: PureState, entry: Entry = ENTRY_LOWER_FORWARD) -> PureState:
@@ -169,7 +157,8 @@ def evolve_single_pass(
     entry: Entry = ENTRY_LOWER_FORWARD,
 ) -> PureState:
     """Full joint state after one traversal, before any detection."""
-    _check_entry(entry)
+    if entry not in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+        raise ValueError("photon must enter at a mirror-side port")
     port, direction = entry
     photon = PhotonMode.propagating(port, direction, photon_pol)
     return propagate(ion_pair_pure_state(ions, photon), entry)
@@ -201,36 +190,29 @@ class PassResult:
 
 def _scatter_branch(final: PureState, ion: IonId) -> tuple[float, SingleIonState | None]:
     mass = 0.0
-    amps = {IonLevel.M_PLUS: 0j, IonLevel.M_MINUS: 0j}
-    for basis, amp in final.items():
-        if basis.photon.kind is ModeKind.SCATTERED and basis.photon.scattered_at is ion:
+    amps = [0j, 0j, 0j]  # surviving ion's level, in IonLevel order
+    for index, amp in final.indexed_items():
+        if MODES[index // PAIRS].scattered_at is ion:
             mass += abs2(amp)
-            survivor = basis.ion_l if ion is IonId.ION_U else basis.ion_u
-            amps[survivor] += amp
+            amps[index % 3 if ion is IonId.ION_U else index % PAIRS // 3] += amp
     if mass <= 0.0:
         return 0.0, None
     inv = mass ** -0.5
-    return mass, SingleIonState(amps[IonLevel.M_PLUS] * inv, amps[IonLevel.M_MINUS] * inv)
+    return mass, SingleIonState(amps[0] * inv, amps[1] * inv)
 
 
 def _port_branch(final: PureState, port: Port) -> tuple[float, IonPairState | None]:
     mass = 0.0
-    amps: dict[tuple[IonLevel, IonLevel], complex] = {}
-    for basis, amp in final.items():
-        if basis.photon.kind is ModeKind.PROPAGATING and basis.photon.port is port:
+    amps = [0j] * PAIRS
+    for index, amp in final.indexed_items():
+        mode, pair = divmod(index, PAIRS)
+        if MODES[mode].port is port:
             mass += abs2(amp)
-            key = (basis.ion_u, basis.ion_l)
-            amps[key] = amps.get(key, 0j) + amp
+            amps[pair] += amp
     if mass <= 0.0:
         return 0.0, None
     inv = mass ** -0.5
-    state = IonPairState(
-        c_pp=amps.get((IonLevel.M_PLUS, IonLevel.M_PLUS), 0j) * inv,
-        c_pm=amps.get((IonLevel.M_PLUS, IonLevel.M_MINUS), 0j) * inv,
-        c_mp=amps.get((IonLevel.M_MINUS, IonLevel.M_PLUS), 0j) * inv,
-        c_mm=amps.get((IonLevel.M_MINUS, IonLevel.M_MINUS), 0j) * inv,
-    )
-    return mass, state
+    return mass, IonPairState(*(amps[pair] * inv for pair in _METASTABLE_PAIRS))
 
 
 def single_pass(
@@ -251,17 +233,12 @@ def single_pass(
     upper_mass, upper_state = _port_branch(final, Port.UPPER)
     lower_mass, lower_state = _port_branch(final, Port.LOWER)
 
-    mirror_port = Port.UPPER if entry[1] is Direction.FORWARD else Port.LOWER
-    recycle_mass, recycle_state = (
-        (upper_mass, upper_state) if mirror_port is Port.UPPER else (lower_mass, lower_state)
-    )
+    forward = entry[1] is Direction.FORWARD  # the mirror port is the upper one
     p_upper, p_lower, p_recycle = upper_mass, lower_mass, 0.0
-    if enclosed:
-        p_recycle = recycle_mass
-        if mirror_port is Port.UPPER:
-            p_upper = 0.0
-        else:
-            p_lower = 0.0
+    if enclosed and forward:
+        p_upper, p_recycle = 0.0, upper_mass
+    elif enclosed:
+        p_lower, p_recycle = 0.0, lower_mass
     return PassResult(
         p_scatter_u=p_su,
         p_scatter_l=p_sl,
@@ -270,7 +247,7 @@ def single_pass(
         p_recycle=p_recycle,
         post_detect_upper=upper_state,
         post_detect_lower=lower_state,
-        post_recycle=recycle_state,
+        post_recycle=upper_state if forward else lower_state,
         post_scatter_u=post_su,
         post_scatter_l=post_sl,
     )

@@ -233,14 +233,11 @@ def monte_carlo(
     thresholds: list[tuple[float, float, float]] = []
     post: IonPairState | None = None
 
-    def ensure_round(index: int) -> bool:
-        """Tabulate round ``index`` (1-based); False if unreachable."""
+    def ensure_round(index: int) -> None:
+        """Tabulate round ``index`` (1-based); rounds are reached in order."""
         nonlocal post
-        while len(thresholds) < index:
-            current = states[len(thresholds)]
-            if current is None:
-                return False
-            result: PassResult = single_pass(current, enclosed=True)
+        if len(thresholds) < index:
+            result: PassResult = single_pass(states[index - 1], enclosed=True)
             first = result.p_scatter_u
             second = first + result.p_scatter_l
             third = second + result.p_detect_lower
@@ -248,7 +245,6 @@ def monte_carlo(
             states.append(result.post_recycle)
             if post is None and result.post_detect_lower is not None:
                 post = result.post_detect_lower
-        return states[index - 1] is not None
 
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
     detections: dict[int, int] = {}
@@ -256,23 +252,23 @@ def monte_carlo(
         stream = trial_stream_state(seed, trial)
         rounds = 0
         while True:
-            if not ensure_round(rounds + 1):
+            current = states[rounds]
+            if current is None:
                 counts["truncated"] += 1
                 break
-            current = states[rounds]
             if reinject and 1.0 - abs2(current.c_mm) < cfg.truncation_epsilon:
                 counts["stuck"] += 1
                 break
             if rounds >= budget:
-                survivor = states[rounds]
                 stream = (stream + _GOLDEN) & _MASK
                 draw = (_mix64(stream) >> 11) * _INV_2_53
-                if draw < abs2(survivor.c_mm):
+                if draw < abs2(current.c_mm):
                     counts["stuck"] += 1
                 else:
                     counts["truncated"] += 1
                 break
             rounds += 1
+            ensure_round(rounds)
             first, second, third = thresholds[rounds - 1]
             stream = (stream + _GOLDEN) & _MASK
             draw = (_mix64(stream) >> 11) * _INV_2_53

@@ -6,8 +6,13 @@ propagating interferometer mode (port x direction x polarization), a
 vacuum once a detector has consumed it.  Each ion sits in one of three
 levels.  A pure state is a sparse map from joint basis kets to complex
 amplitudes, held in canonical form (pruned below ``PRUNE_EPS``, sorted by
-basis key) so that equality is structural; a mixed state is a weighted
+basis index) so that equality is structural; a mixed state is a weighted
 ensemble of normalized pure states.
+
+The joint space is small and fixed: 11 photon modes times 9 ion-level
+pairs, 99 kets in all.  Each ket has one integer index (``kets()``), and a
+state stores its amplitudes keyed by that index; ``BasisState`` and
+``PhotonMode`` remain the public view of a ket.
 
 Global phase is never divided out automatically: ``normalize`` rescales by
 a positive real factor only, and ray equality is a separate comparison
@@ -16,10 +21,11 @@ a positive real factor only, and ray equality is a separate comparison
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import ItemsView, Iterable, Iterator, Mapping
 
 #: Amplitudes below this modulus are dropped when a state is built.
 PRUNE_EPS = 1e-12
@@ -73,18 +79,6 @@ class ModeKind(Enum):
     VACUUM = "vacuum"
 
 
-_ENUM_RANK: dict[Enum, int] = {}
-
-
-def _rank(member: Enum) -> int:
-    rank = _ENUM_RANK.get(member)
-    if rank is None:
-        for i, m in enumerate(type(member)):
-            _ENUM_RANK[m] = i
-        rank = _ENUM_RANK[member]
-    return rank
-
-
 @dataclass(frozen=True)
 class PhotonMode:
     """Where the single photonic excitation lives.
@@ -102,24 +96,18 @@ class PhotonMode:
     scattered_at: IonId | None = None
 
     def __post_init__(self) -> None:
+        labels = (self.port, self.direction, self.polarization)
         if self.kind is ModeKind.PROPAGATING:
-            if self.port is None or self.direction is None or self.polarization is None:
-                raise ValueError("propagating mode needs port, direction and polarization")
-            if self.scattered_at is not None:
-                raise ValueError("propagating mode carries no scatter site")
+            valid = None not in labels and self.scattered_at is None
         elif self.kind is ModeKind.SCATTERED:
-            if self.scattered_at is None:
-                raise ValueError("scattered mode needs a scatter site")
-            if not (self.port is None and self.direction is None and self.polarization is None):
-                raise ValueError("scattered mode carries no port, direction or polarization")
+            valid = labels == (None, None, None) and self.scattered_at is not None
         else:
-            if not (
-                self.port is None
-                and self.direction is None
-                and self.polarization is None
-                and self.scattered_at is None
-            ):
-                raise ValueError("vacuum carries no port, direction or polarization")
+            valid = labels == (None, None, None) and self.scattered_at is None
+        if not valid:
+            raise ValueError(
+                f"invalid {self.kind.value} mode: propagating needs port, direction and polarization, "
+                "scattered only a scatter site, vacuum nothing"
+            )
 
     @staticmethod
     def propagating(port: Port, direction: Direction, polarization: Polarization) -> "PhotonMode":
@@ -133,15 +121,6 @@ class PhotonMode:
     def vacuum() -> "PhotonMode":
         return PhotonMode(ModeKind.VACUUM)
 
-    def sort_key(self) -> tuple[int, int, int, int, int]:
-        return (
-            _rank(self.kind),
-            -1 if self.port is None else _rank(self.port),
-            -1 if self.direction is None else _rank(self.direction),
-            -1 if self.polarization is None else _rank(self.polarization),
-            -1 if self.scattered_at is None else _rank(self.scattered_at),
-        )
-
 
 @dataclass(frozen=True)
 class BasisState:
@@ -151,66 +130,96 @@ class BasisState:
     ion_u: IonLevel
     ion_l: IonLevel
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.photon.sort_key() + (_rank(self.ion_u), _rank(self.ion_l))
+
+#: Every photon mode in canonical order: propagating (port x direction x
+#: polarization), then scattered (by ion), then vacuum.
+MODES: tuple[PhotonMode, ...] = (
+    *(PhotonMode.propagating(port, d, pol) for port in Port for d in Direction for pol in Polarization),
+    *(PhotonMode.scattered(ion) for ion in IonId),
+    PhotonMode.vacuum(),
+)
+#: Ion-level pairs per photon mode; ket ``mode * PAIRS + 3 * ion_u + ion_l``
+#: indexes the levels in ``IonLevel`` declaration order.
+PAIRS = 9
+MODE_INDEX = {mode: index for index, mode in enumerate(MODES)}
+LEVEL_INDEX = {level: index for index, level in enumerate(IonLevel)}
+
+
+@functools.cache
+def kets() -> tuple[BasisState, ...]:
+    """The basis kets in index order, which is the canonical term order.
+
+    Built on first use: only the ``BasisState`` view of a state needs them.
+    """
+    return tuple(BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel)
+
+
+def basis_index(basis: BasisState) -> int:
+    """Position of ``basis`` in :func:`kets`."""
+    return MODE_INDEX[basis.photon] * PAIRS + 3 * LEVEL_INDEX[basis.ion_u] + LEVEL_INDEX[basis.ion_l]
 
 
 class PureState:
     """Sparse complex-amplitude map over joint basis kets, in canonical form.
 
     The constructor merges duplicate keys, prunes amplitudes below
-    ``PRUNE_EPS`` and orders the remaining terms, so two states built from
-    the same amplitudes in any insertion order compare equal.  Instances
-    are immutable values and safe to share across threads.
+    ``PRUNE_EPS`` and orders the remaining terms by basis index, so two
+    states built from the same amplitudes in any insertion order compare
+    equal.  Terms are given either as ``BasisState`` keys or, through
+    ``indexed``, as (basis index, amplitude) pairs.  Instances are
+    immutable values and safe to share across threads.
     """
 
-    __slots__ = ("_terms", "_index")
+    __slots__ = ("_amps",)
 
     def __init__(
         self,
         terms: Mapping[BasisState, complex] | Iterable[tuple[BasisState, complex]] = (),
+        *,
+        indexed: Iterable[tuple[int, complex]] | None = None,
     ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[BasisState, complex] = {}
-        for basis, amp in items:
-            merged[basis] = merged.get(basis, 0j) + complex(amp)
-        ordered = tuple(
-            (basis, amp)
-            for basis, amp in sorted(merged.items(), key=lambda kv: kv[0].sort_key())
-            if abs(amp) >= PRUNE_EPS
-        )
-        self._terms = ordered
-        self._index = dict(ordered)
+        if indexed is None:
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            indexed = ((basis_index(basis), amp) for basis, amp in items)
+        merged: dict[int, complex] = {}
+        for index, amp in indexed:
+            merged[index] = merged.get(index, 0j) + complex(amp)
+        self._amps = {index: merged[index] for index in sorted(merged) if abs(merged[index]) >= PRUNE_EPS}
 
     @property
     def terms(self) -> tuple[tuple[BasisState, complex], ...]:
-        return self._terms
+        basis = kets()
+        return tuple((basis[index], amp) for index, amp in self._amps.items())
 
     def items(self) -> Iterator[tuple[BasisState, complex]]:
-        return iter(self._terms)
+        return iter(self.terms)
+
+    def indexed_items(self) -> ItemsView[int, complex]:
+        """(basis index, amplitude) pairs in canonical order."""
+        return self._amps.items()
 
     def amplitude(self, basis: BasisState) -> complex:
-        return self._index.get(basis, 0j)
+        return self._amps.get(basis_index(basis), 0j)
 
     def norm_squared(self) -> float:
-        return sum(abs2(amp) for _, amp in self._terms)
+        return sum(abs2(amp) for amp in self._amps.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._amps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PureState):
             return NotImplemented
-        return self._terms == other._terms
+        return self._amps == other._amps
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(tuple(self._amps.items()))
 
     def __repr__(self) -> str:
-        return f"PureState({len(self._terms)} terms, norm={self.norm():.6g})"
+        return f"PureState({len(self._amps)} terms, norm={self.norm():.6g})"
 
 
 def normalize(state: PureState) -> tuple[float, PureState]:
@@ -219,20 +228,18 @@ def normalize(state: PureState) -> tuple[float, PureState]:
     Only a positive real factor is divided out; the phase of every
     amplitude is kept exactly as given.
     """
-    if not state.terms:
-        raise ValueError("null state")
     norm = state.norm()
     if norm == 0.0:
         raise ValueError("null state")
     inv = 1.0 / norm
-    return norm, PureState((basis, amp * inv) for basis, amp in state.items())
+    return norm, PureState(indexed=((index, amp * inv) for index, amp in state.indexed_items()))
 
 
 def inner_product(bra: PureState, ket: PureState) -> complex:
     """<bra|ket>, conjugate-linear in the first argument."""
     if len(bra) > len(ket):
         return inner_product(ket, bra).conjugate()
-    return sum((amp.conjugate() * ket.amplitude(basis) for basis, amp in bra.items()), 0j)
+    return sum((amp.conjugate() * ket._amps.get(index, 0j) for index, amp in bra.indexed_items()), 0j)
 
 
 def equal_up_to_global_phase(first: PureState, second: PureState, tol: float = NORM_TOL) -> bool:
@@ -277,12 +284,11 @@ class MixedState:
         return f"MixedState({len(self._components)} components)"
 
 
-def _ion_factor(state: PureState) -> dict[tuple[IonLevel, IonLevel], complex]:
-    """Ion-pair amplitudes of a state whose photon mode factorizes out."""
-    modes = {basis.photon for basis, _ in state.items()}
-    if len(modes) != 1:
+def _ion_factor(state: PureState) -> dict[int, complex]:
+    """Ion-pair amplitudes, keyed by pair index, of a state whose photon mode factorizes out."""
+    if len({index // PAIRS for index, _ in state.indexed_items()}) != 1:
         raise ValueError("photon not separable")
-    return {(basis.ion_u, basis.ion_l): amp for basis, amp in state.items()}
+    return {index % PAIRS: amp for index, amp in state.indexed_items()}
 
 
 def ion_fidelity(ensemble: MixedState, target: PureState) -> float:

@@ -107,6 +107,68 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="warp"):
             RunConfig.from_dict({"scenario": "iterate", "warp": 1})
 
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["single-pass"], {"a2": "0.5"}, "a2 must be a number"),
+            (["single-pass"], {"a2": True}, "a2 must be a number"),
+            (["single-pass"], {"alpha2": [0.5]}, "alpha2 must be a number or null"),
+            (["monte-carlo"], {"trials": 1.5}, "trials must be an integer"),
+            (["monte-carlo"], {"seed": "x"}, "seed must be an integer"),
+            (["monte-carlo"], {"max_passes": False}, "max_passes must be an integer"),
+            (["iterate"], {"format": 1}, "format must be a string"),
+            (["single-pass", "--phase-a", "nan"], None, "phase_a must be a finite number"),
+            (["single-pass", "--phase-a", "inf"], None, "phase_a must be a finite number"),
+            (["single-pass", "--phase-b=-inf"], None, "phase_b must be a finite number"),
+            (["mixed", "--fidelity", "nan"], None, "fidelity must be a finite number"),
+            (["throughput"], {"p_cav": 1.5}, "p_cav must lie in [0, 1]"),
+            (["throughput"], {"detector_efficiency": -0.1}, "detector_efficiency must lie in [0, 1]"),
+            (["throughput"], {"outcoupling": 2.0}, "outcoupling must lie in [0, 1]"),
+            (["throughput"], {"photon_rate": -5.0}, "photon_rate must be nonnegative"),
+            (["throughput"], {"photon_rate": 10**400}, "photon_rate must be a finite number"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
+        argv = list(argv)
+        if config is not None:
+            if argv == ["throughput"]:
+                custom = {"p_cav": 0.01, "detector_efficiency": 0.7, "photon_rate": 5000.0, "protocol": "mixed"}
+                config = {**custom, **config}
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("key, value", [("p_cav", 0.5), ("photon_rate", 100.0), ("protocol", "product")])
+    def test_preset_rejects_operating_point_keys(self, capsys, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "throughput", "--preset", "paper-mixed", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert key in err and "preset" in err
+
+    def test_preset_echo_reparses(self, capsys):
+        code, out, _ = run_cli(capsys, "throughput", "--preset", "paper-mixed")
+        assert code == 0
+        echoed = json.loads(out)["config"]
+        assert RunConfig.from_dict(echoed) == parse_config(["throughput", "--preset", "paper-mixed"])
+
+    def test_parser_reused_after_failure(self, capsys):
+        args = ("single-pass", "--a2", "0.3", "--alpha2", "0.6", "--phase-a", "0.2")
+        code1, out1, _ = run_cli(capsys, *args)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["single-pass", "--a2"])
+        assert excinfo.value.code == 2
+        assert main(["single-pass", "--a2", "1.5"]) == 2
+        capsys.readouterr()
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
 
 class TestReports:
     def test_iterate_report_value(self, capsys):

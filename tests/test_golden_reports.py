@@ -1,0 +1,95 @@
+"""Byte-exact CLI reports for a fixed list of runs.
+
+Each case's report is stored under ``tests/golden/<case>.out``.  Any
+refactor must leave every one of them byte-identical.  After a change
+that is meant to alter a report, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden_reports.py --write
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from ionmzi.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+_SWEEP_A2 = ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "11"]
+_SWEEP_ALPHA2 = [
+    "sweep", "--scenario", "iterate", "--axis", "alpha2", "--a2", "0.3",
+    "--from", "0.1", "--to", "0.9", "--points", "5",
+]
+_SWEEP_FIDELITY = ["sweep", "--scenario", "mixed", "--axis", "fidelity", "--from", "0", "--to", "1", "--points", "6"]
+_PHASED = ["single-pass", "--a2", "0.7", "--phase-a", "0.4", "--phase-beta", "-1.1", "--phase-b", "2.5"]
+_UNBALANCED = ["single-pass", "--a2", "0.3", "--alpha2", "0.8"]
+_CUSTOM_THROUGHPUT = {
+    "p_cav": 0.02,
+    "detector_efficiency": 0.5,
+    "outcoupling": 0.9,
+    "photon_rate": 1000.0,
+    "protocol": "mixed",
+    "fidelity": 0.8,
+}
+
+#: case name -> (argv, content of a --config file or None)
+CASES = {
+    "single_pass_balanced": (["single-pass", "--a2", "0.5"], None),
+    "single_pass_balanced_table": (["single-pass", "--a2", "0.5", "--format", "table"], None),
+    "single_pass_unbalanced": (_UNBALANCED, None),
+    "single_pass_unbalanced_table": ([*_UNBALANCED, "--format", "table"], None),
+    "single_pass_phased": (_PHASED, None),
+    "single_pass_phased_table": ([*_PHASED, "--format", "table"], None),
+    "iterate_max_passes_5": (["iterate", "--a2", "0.7", "--max-passes", "5"], None),
+    "iterate_default": (["iterate", "--a2", "0.7"], None),
+    "mixed": (["mixed", "--fidelity", "0.7"], None),
+    "monte_carlo_a2_003": (["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7"], None),
+    "monte_carlo_a2_097": (["monte-carlo", "--a2", "0.97", "--trials", "500", "--seed", "7"], None),
+    "throughput_paper_mixed": (["throughput", "--preset", "paper-mixed"], None),
+    "throughput_paper_product": (["throughput", "--preset", "paper-product"], None),
+    "throughput_paper_cavity": (["throughput", "--preset", "paper-cavity"], None),
+    "throughput_custom": (["throughput"], _CUSTOM_THROUGHPUT),
+    "sweep_a2_csv": (_SWEEP_A2, None),
+    "sweep_a2_json": ([*_SWEEP_A2, "--format", "json"], None),
+    "sweep_alpha2_csv": (_SWEEP_ALPHA2, None),
+    "sweep_alpha2_json": ([*_SWEEP_ALPHA2, "--format", "json"], None),
+    "sweep_fidelity_csv": (_SWEEP_FIDELITY, None),
+    "sweep_fidelity_json": ([*_SWEEP_FIDELITY, "--format", "json"], None),
+}
+
+
+def render_case(name: str, config_dir: pathlib.Path) -> str:
+    argv, config = CASES[name]
+    argv = list(argv)
+    if config is not None:
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    assert code == 0, argv
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    assert render_case(name, tmp_path).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden_reports.py --write")
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.out").write_bytes(render_case(case, pathlib.Path(scratch)).encode("utf-8"))

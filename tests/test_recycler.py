@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ionmzi import recycler
 from ionmzi.elements import MirrorId, mirror
 from ionmzi.protocol import (
     ENTRY_UPPER_BACKWARD,
@@ -268,3 +269,16 @@ class TestMonteCarlo:
         expected = iterate_analytic(ions).passes_distribution[1]
         sigma = math.sqrt(expected * (1.0 - expected) / 200_000)
         assert abs(result.passes_distribution[1] - expected) < 3.0 * sigma
+
+    @pytest.mark.parametrize("max_passes", [1, 5, 30])
+    def test_pass_budget_tabulates_no_extra_round(self, monkeypatch, max_passes):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return single_pass(*args, **kwargs)
+
+        monkeypatch.setattr(recycler, "single_pass", counting)
+        result = monte_carlo(balanced_product(0.03), 500, seed=7, config=RecycleConfig(max_passes=max_passes))
+        assert result.counts["stuck"] + result.counts["truncated"] > 0  # some trials reach the budget
+        assert len(calls) == max_passes
