@@ -23,17 +23,31 @@ from dataclasses import asdict, dataclass, fields, replace
 from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus, ion_pair_pure_state
 from .recycler import RecycleConfig
-from .states import ion_fidelity
+from .states import MixedState, ion_fidelity
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "ionmzi"
 
-_SCENARIOS = ("single_pass", "iterate", "mixed", "monte_carlo", "throughput", "sweep")
-_SWEEP_SCENARIOS = ("single_pass", "iterate", "mixed")
 _SWEEP_AXES = ("a2", "alpha2", "fidelity")
-_PRESETS = ("paper-mixed", "paper-product", "paper-cavity")
-#: Config keys of a custom throughput operating point.
-_OPERATING_POINT = ("p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
+#: Throughput protocol -> the config key of its source value.
+_SOURCE_KEY = {"mixed": "fidelity", "product": "a2"}
+#: Config keys a throughput preset fixes, so a config may not give them.
+_PRESET_FIXES = ("p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol", "a2", "fidelity")
+#: Throughput preset -> (protocol, REFERENCE_POINT key of the source value, notes).
+#: ``paper-cavity`` reports the cavity formulas instead of a throughput.
+_PRESETS = {
+    "paper-mixed": ("mixed", "input_fidelity", (
+        "reference operating point: mixed input with fidelity 0.7, p_cav 0.01, "
+        "detector efficiency 0.7, unit outcoupling, 5000 photons/s",
+        "the published claim rounds 8.17 pairs/s to eight pairs per second",
+    )),
+    "paper-product": ("product", "plus_population", (
+        "reference operating point: matched product input with m+ population 0.7, "
+        "p_cav 0.01, detector efficiency 0.7, unit outcoupling, 5000 photons/s",
+        "the published claim rounds 4.90 pairs/s to five pairs per second",
+    )),
+    "paper-cavity": None,
+}
 
 
 class UsageError(Exception):
@@ -156,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(throughput)
 
     sweep = sub.add_parser("sweep", help="scan one axis and emit one row per point")
-    sweep.add_argument("--scenario", dest="sweep_scenario", choices=_SWEEP_SCENARIOS, default=None)
+    sweep.add_argument("--scenario", dest="sweep_scenario", choices=_SWEEPS, default=None)
     sweep.add_argument("--axis", choices=_SWEEP_AXES, default=None)
     sweep.add_argument("--from", type=float, default=None, dest="sweep_from")
     sweep.add_argument("--to", type=float, default=None, dest="sweep_to")
@@ -179,7 +193,7 @@ def _load_config_file(path: str) -> dict:
             values = json.load(handle)
     except OSError as err:
         raise UsageError(f"cannot read config file: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad UTF-8, bad JSON, too long an integer, too deep
         raise UsageError(f"config file is not valid JSON: {err}") from err
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
@@ -187,7 +201,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.scenario not in _SCENARIOS:
+    if cfg.scenario not in _RUNNERS:
         raise UsageError(f"unknown scenario: {cfg.scenario}")
     if not 0.0 <= cfg.a2 <= 1.0:
         raise UsageError("a2 must lie in [0, 1]")
@@ -206,7 +220,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.format == "csv" and cfg.scenario != "sweep":
         raise UsageError("csv format is only available for sweep")
     if cfg.scenario == "sweep":
-        if cfg.sweep_scenario not in _SWEEP_SCENARIOS:
+        if cfg.sweep_scenario not in _SWEEPS:
             raise UsageError("sweep needs --scenario (single_pass, iterate or mixed)")
         if cfg.axis not in _SWEEP_AXES:
             raise UsageError("sweep needs --axis (a2, alpha2 or fidelity)")
@@ -217,16 +231,16 @@ def _validate(cfg: RunConfig) -> None:
         for bound in (cfg.sweep_from, cfg.sweep_to):
             if not 0.0 <= bound <= 1.0:
                 raise UsageError(f"{cfg.axis} must lie in [0, 1]")
+        if cfg.axis == "fidelity" and cfg.sweep_scenario != "mixed":
+            raise UsageError("axis fidelity needs --scenario mixed")
+        if cfg.axis != "fidelity" and cfg.sweep_scenario == "mixed":
+            raise UsageError("scenario mixed sweeps the fidelity axis")
     for name in ("p_cav", "detector_efficiency", "outcoupling"):
         value = getattr(cfg, name)
         if value is not None and not 0.0 <= value <= 1.0:
             raise UsageError(f"{name} must lie in [0, 1]")
     if cfg.photon_rate is not None and cfg.photon_rate < 0.0:
         raise UsageError("photon_rate must be nonnegative")
-    if cfg.preset is not None:
-        given = [name for name in _OPERATING_POINT if getattr(cfg, name) is not None]
-        if given:
-            raise UsageError(f"--preset fixes the operating point; drop {', '.join(given)}")
     if cfg.scenario == "throughput" and cfg.preset is None:
         needed = ("p_cav", "detector_efficiency", "photon_rate", "protocol")
         if any(getattr(cfg, name) is None for name in needed):
@@ -234,8 +248,10 @@ def _validate(cfg: RunConfig) -> None:
                 "throughput needs --preset or config keys p_cav, detector_efficiency, "
                 "photon_rate and protocol"
             )
-        if cfg.protocol not in ("mixed", "product"):
+        if cfg.protocol not in _SOURCE_KEY:
             raise UsageError("protocol must be mixed or product")
+    if cfg.preset is not None and cfg.scenario != "throughput":
+        raise UsageError("preset is only available for throughput")
     if cfg.preset is not None and cfg.preset not in _PRESETS:
         raise UsageError(f"unknown preset: {cfg.preset}")
 
@@ -257,6 +273,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if cfg.scenario == "sweep" and "format" not in merged:
         cfg.format = "csv"
     _validate(cfg)
+    if cfg.preset is not None:
+        fixed = [name for name in _PRESET_FIXES if merged.get(name) is not None]
+        if fixed:
+            raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
     return cfg
 
 
@@ -381,18 +401,13 @@ def _run_iterate(cfg: RunConfig) -> tuple[dict, list[str]]:
     return results, []
 
 
+def _fidelity_vs(state: MixedState | None, bell: IonPairState) -> float | None:
+    """Fidelity of a detector-conditioned state with a Bell state; None if never heralded."""
+    return None if state is None else ion_fidelity(state, ion_pair_pure_state(bell))
+
+
 def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
     run = protocol.run_mixed(cfg.fidelity)
-    fidelity_lower = (
-        ion_fidelity(run.post_detect_lower, ion_pair_pure_state(bell_psi_minus()))
-        if run.post_detect_lower is not None
-        else None
-    )
-    fidelity_upper = (
-        ion_fidelity(run.post_detect_upper, ion_pair_pure_state(bell_psi_plus()))
-        if run.post_detect_upper is not None
-        else None
-    )
     iterated_entangled = 0.0
     iterated_scattered = 0.0
     iterated_stuck = 0.0
@@ -410,8 +425,8 @@ def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
             "p_detect_lower": run.p_detect_lower,
             "p_detect_upper": run.p_detect_upper,
             "p_scattered": run.p_scatter_u + run.p_scatter_l,
-            "fidelity_lower_vs_psi_minus": fidelity_lower,
-            "fidelity_upper_vs_psi_plus": fidelity_upper,
+            "fidelity_lower_vs_psi_minus": _fidelity_vs(run.post_detect_lower, bell_psi_minus()),
+            "fidelity_upper_vs_psi_plus": _fidelity_vs(run.post_detect_upper, bell_psi_plus()),
         },
         "iterated": {
             "p_entangled": iterated_entangled,
@@ -445,17 +460,25 @@ def _run_monte_carlo(cfg: RunConfig) -> tuple[dict, list[str]]:
     return results, []
 
 
-def _reference(name: str) -> efficiency.ReferenceValue:
-    return efficiency.REFERENCE_POINT[name]
+def _p_protocol(protocol: str, value: float) -> float:
+    """Iterated success of the mixed input with fidelity ``value``, or of the
+    matched product input with m+ population ``value``."""
+    if protocol == "mixed":
+        return value * recycler.iterate_analytic(bell_psi_plus()).p_entangled
+    amp_plus = math.sqrt(value)
+    amp_minus = math.sqrt(1.0 - value)
+    ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)
+    return recycler.iterate_analytic(ions).p_entangled
 
 
 def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
+    reference = efficiency.REFERENCE_POINT
     if cfg.preset == "paper-cavity":
-        finesse = _reference("finesse").value
-        length = _reference("cavity_length").value
+        finesse = reference["finesse"].value
+        length = reference["cavity_length"].value
         formula_rate = efficiency.cavity_decay_rate(finesse, length)
-        quoted = _reference("cavity_decay_rate_quoted")
-        emission = _reference("emission_probability_quoted")
+        quoted = reference["cavity_decay_rate_quoted"]
+        emission = reference["emission_probability_quoted"]
         results = {
             "preset": cfg.preset,
             "cavity": {
@@ -471,69 +494,37 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
                 },
             },
         }
-        notes = [
+        return results, [
             "the evaluated decay-rate formula (6.609e7/s) and the quoted reference "
             "value (9.9e6/s) disagree for the same finesse and length; both are "
             "reported and neither is adjusted"
         ]
-        return results, notes
-
-    notes: list[str] = []
-    if cfg.preset == "paper-mixed":
-        fidelity = _reference("input_fidelity").value
-        p_protocol = fidelity * recycler.iterate_analytic(bell_psi_plus()).p_entangled
-        source = {"protocol": "mixed", "fidelity": fidelity}
-        notes.append(
-            "reference operating point: mixed input with fidelity 0.7, p_cav 0.01, "
-            "detector efficiency 0.7, unit outcoupling, 5000 photons/s"
-        )
-        notes.append("the published claim rounds 8.17 pairs/s to eight pairs per second")
-    elif cfg.preset == "paper-product":
-        population = _reference("plus_population").value
-        amp_plus = math.sqrt(population)
-        amp_minus = math.sqrt(1.0 - population)
-        ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)
-        p_protocol = recycler.iterate_analytic(ions).p_entangled
-        source = {"protocol": "product", "a2": population}
-        notes.append(
-            "reference operating point: matched product input with m+ population 0.7, "
-            "p_cav 0.01, detector efficiency 0.7, unit outcoupling, 5000 photons/s"
-        )
-        notes.append("the published claim rounds 4.90 pairs/s to five pairs per second")
-    else:
-        if cfg.protocol == "mixed":
-            p_protocol = cfg.fidelity * recycler.iterate_analytic(bell_psi_plus()).p_entangled
-            source = {"protocol": "mixed", "fidelity": cfg.fidelity}
-        else:
-            amp_plus = math.sqrt(cfg.a2)
-            amp_minus = math.sqrt(1.0 - cfg.a2)
-            ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)
-            p_protocol = recycler.iterate_analytic(ions).p_entangled
-            source = {"protocol": "product", "a2": cfg.a2}
-
+    notes = ()
     if cfg.preset is not None:
-        params = efficiency.EfficiencyParams(
-            finesse=_reference("finesse").value,
-            cavity_length=_reference("cavity_length").value,
-            wavelength=_reference("wavelength").value,
-            detector_efficiency=_reference("detector_efficiency").value,
-            photon_rate=_reference("photon_rate").value,
-            p_cav=_reference("emission_probability_quoted").value,
+        protocol_name, reference_key, notes = _PRESETS[cfg.preset]
+        cfg = replace(
+            cfg,
+            protocol=protocol_name,
+            p_cav=reference["emission_probability_quoted"].value,
+            detector_efficiency=reference["detector_efficiency"].value,
+            photon_rate=reference["photon_rate"].value,
+            **{_SOURCE_KEY[protocol_name]: reference[reference_key].value},
         )
-    else:
-        params = efficiency.EfficiencyParams(
-            finesse=_reference("finesse").value,
-            cavity_length=_reference("cavity_length").value,
-            wavelength=_reference("wavelength").value,
-            detector_efficiency=cfg.detector_efficiency,
-            photon_rate=cfg.photon_rate,
-            outcoupling=cfg.outcoupling if cfg.outcoupling is not None else 1.0,
-            p_cav=cfg.p_cav,
-        )
-    report = efficiency.throughput(p_protocol, params)
+    source_key = _SOURCE_KEY[cfg.protocol]
+    value = getattr(cfg, source_key)
+    params = efficiency.EfficiencyParams(
+        finesse=reference["finesse"].value,
+        cavity_length=reference["cavity_length"].value,
+        wavelength=reference["wavelength"].value,
+        detector_efficiency=cfg.detector_efficiency,
+        photon_rate=cfg.photon_rate,
+        outcoupling=cfg.outcoupling if cfg.outcoupling is not None else 1.0,
+        p_cav=cfg.p_cav,
+    )
+    report = efficiency.throughput(_p_protocol(cfg.protocol, value), params)
     results = {
         "preset": cfg.preset,
-        "source": source,
+        "source": {"protocol": cfg.protocol, source_key: value},
         "p_protocol": report.p_protocol,
         "p_cav": report.p_cav,
         "detector_efficiency": params.detector_efficiency,
@@ -542,63 +533,43 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
         "p_total": report.p_total,
         "pairs_per_second": report.pairs_per_second,
     }
-    return results, notes
+    return results, list(notes)
 
 
-_SWEEP_COLUMNS = {
-    "single_pass": ("p_scatter_u", "p_scatter_l", "p_detect_upper", "p_detect_lower", "p_recycle"),
-    "iterate": ("p_entangled", "p_scattered", "p_stuck", "p_truncated"),
-    "mixed": ("p_detect_lower", "p_detect_upper", "p_scattered", "p_entangled_iterated"),
-}
-
-
-def _sweep_row(cfg: RunConfig, scenario: str, axis: str, value: float) -> dict:
-    point = replace(cfg, **{axis: value})
-    if scenario == "single_pass":
-        result = protocol.single_pass(_product_ions(point))
-        return {
-            axis: value,
-            "p_scatter_u": result.p_scatter_u,
-            "p_scatter_l": result.p_scatter_l,
-            "p_detect_upper": result.p_detect_upper,
-            "p_detect_lower": result.p_detect_lower,
-            "p_recycle": result.p_recycle,
-        }
-    if scenario == "iterate":
-        result = recycler.iterate_analytic(_product_ions(point))
-        return {
-            axis: value,
-            "p_entangled": result.p_entangled,
-            "p_scattered": result.p_scattered,
-            "p_stuck": result.p_stuck,
-            "p_truncated": result.p_truncated,
-        }
+def _mixed_point(point: RunConfig) -> dict:
     run = protocol.run_mixed(point.fidelity)
-    iterated = point.fidelity * recycler.iterate_analytic(bell_psi_plus()).p_entangled
     return {
-        axis: value,
         "p_detect_lower": run.p_detect_lower,
         "p_detect_upper": run.p_detect_upper,
         "p_scattered": run.p_scatter_u + run.p_scatter_l,
-        "p_entangled_iterated": iterated,
+        "p_entangled_iterated": _p_protocol("mixed", point.fidelity),
     }
 
 
+#: Sweep scenario -> (its report columns after the axis, the values at one
+#: point, by column name).
+_SWEEPS = {
+    "single_pass": (
+        ("p_scatter_u", "p_scatter_l", "p_detect_upper", "p_detect_lower", "p_recycle"),
+        lambda point: vars(protocol.single_pass(_product_ions(point))),
+    ),
+    "iterate": (
+        ("p_entangled", "p_scattered", "p_stuck", "p_truncated"),
+        lambda point: vars(recycler.iterate_analytic(_product_ions(point))),
+    ),
+    "mixed": (("p_detect_lower", "p_detect_upper", "p_scattered", "p_entangled_iterated"), _mixed_point),
+}
+
+
 def _run_sweep(cfg: RunConfig) -> tuple[dict, list[str]]:
-    if cfg.axis == "fidelity" and cfg.sweep_scenario != "mixed":
-        raise UsageError("axis fidelity needs --scenario mixed")
-    if cfg.axis in ("a2", "alpha2") and cfg.sweep_scenario == "mixed":
-        raise UsageError("scenario mixed sweeps the fidelity axis")
+    columns, evaluate = _SWEEPS[cfg.sweep_scenario]
     span = cfg.sweep_to - cfg.sweep_from
     rows = []
     for index in range(cfg.points):
         value = cfg.sweep_from + span * index / (cfg.points - 1)
-        rows.append(_sweep_row(cfg, cfg.sweep_scenario, cfg.axis, value))
-    results = {
-        "axis": cfg.axis,
-        "columns": [cfg.axis, *_SWEEP_COLUMNS[cfg.sweep_scenario]],
-        "rows": rows,
-    }
+        point = evaluate(replace(cfg, **{cfg.axis: value}))
+        rows.append({cfg.axis: value, **{column: point[column] for column in columns}})
+    results = {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
     return results, []
 
 
@@ -676,12 +647,7 @@ def run(cfg: RunConfig) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_config(argv)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        text = run(cfg)
+        text = run(parse_config(argv))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -126,6 +126,17 @@ class TestParseConfig:
             (["throughput"], {"outcoupling": 2.0}, "outcoupling must lie in [0, 1]"),
             (["throughput"], {"photon_rate": -5.0}, "photon_rate must be nonnegative"),
             (["throughput"], {"photon_rate": 10**400}, "photon_rate must be a finite number"),
+            (
+                ["sweep", "--scenario", "iterate", "--axis", "fidelity", "--from", "0", "--to", "1", "--points", "3"],
+                None,
+                "axis fidelity needs --scenario mixed",
+            ),
+            (
+                ["sweep", "--scenario", "mixed", "--axis", "a2", "--from", "0", "--to", "1", "--points", "3"],
+                None,
+                "scenario mixed sweeps the fidelity axis",
+            ),
+            (["iterate"], {"preset": "paper-mixed"}, "preset is only available for throughput"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -142,7 +153,10 @@ class TestParseConfig:
         assert out == ""
         assert err == f"error: {named}\n"
 
-    @pytest.mark.parametrize("key, value", [("p_cav", 0.5), ("photon_rate", 100.0), ("protocol", "product")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p_cav", 0.5), ("photon_rate", 100.0), ("protocol", "product"), ("fidelity", 0.5), ("a2", 0.9)],
+    )
     def test_preset_rejects_operating_point_keys(self, capsys, tmp_path, key, value):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({key: value}))
