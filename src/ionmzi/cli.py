@@ -31,10 +31,10 @@ TOOL_NAME = "ionmzi"
 _SWEEP_AXES = ("a2", "alpha2", "fidelity")
 #: Throughput protocol -> the config key of its source value.
 _SOURCE_KEY = {"mixed": "fidelity", "product": "a2"}
-#: Config keys a throughput preset fixes, so a config may not give them.
-_PRESET_FIXES = ("p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol", "a2", "fidelity")
+#: Config keys a throughput preset fixes.  A config may give them only at their
+#: RunConfig defaults, which every preset's report echoes, so an echo re-runs.
+_PRESET_FIXES = ("a2", "b2", "fidelity", "p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
 #: Throughput preset -> (protocol, REFERENCE_POINT key of the source value, notes).
-#: ``paper-cavity`` reports the cavity formulas instead of a throughput.
 _PRESETS = {
     "paper-mixed": ("mixed", "input_fidelity", (
         "reference operating point: mixed input with fidelity 0.7, p_cav 0.01, "
@@ -46,8 +46,9 @@ _PRESETS = {
         "p_cav 0.01, detector efficiency 0.7, unit outcoupling, 5000 photons/s",
         "the published claim rounds 4.90 pairs/s to five pairs per second",
     )),
-    "paper-cavity": None,
 }
+#: Every --preset; ``paper-cavity`` reports the cavity formulas instead of a throughput.
+_PRESET_CHOICES = (*_PRESETS, "paper-cavity")
 
 
 class UsageError(Exception):
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(mc)
 
     throughput = sub.add_parser("throughput", help="entangled pairs per second")
-    throughput.add_argument("--preset", choices=_PRESETS, default=None)
+    throughput.add_argument("--preset", choices=_PRESET_CHOICES, default=None)
     common(throughput)
 
     sweep = sub.add_parser("sweep", help="scan one axis and emit one row per point")
@@ -203,6 +204,14 @@ def _load_config_file(path: str) -> dict:
 def _validate(cfg: RunConfig) -> None:
     if cfg.scenario not in _RUNNERS:
         raise UsageError(f"unknown scenario: {cfg.scenario}")
+    if cfg.preset is not None:
+        if cfg.scenario != "throughput":
+            raise UsageError("preset is only available for throughput")
+        if cfg.preset not in _PRESET_CHOICES:
+            raise UsageError(f"unknown preset: {cfg.preset}")
+        fixed = [f.name for f in fields(cfg) if f.name in _PRESET_FIXES and getattr(cfg, f.name) != f.default]
+        if fixed:
+            raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
     if not 0.0 <= cfg.a2 <= 1.0:
         raise UsageError("a2 must lie in [0, 1]")
     if cfg.alpha2 is not None and not 0.0 <= cfg.alpha2 <= 1.0:
@@ -250,10 +259,6 @@ def _validate(cfg: RunConfig) -> None:
             )
         if cfg.protocol not in _SOURCE_KEY:
             raise UsageError("protocol must be mixed or product")
-    if cfg.preset is not None and cfg.scenario != "throughput":
-        raise UsageError("preset is only available for throughput")
-    if cfg.preset is not None and cfg.preset not in _PRESETS:
-        raise UsageError(f"unknown preset: {cfg.preset}")
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -273,10 +278,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if cfg.scenario == "sweep" and "format" not in merged:
         cfg.format = "csv"
     _validate(cfg)
-    if cfg.preset is not None:
-        fixed = [name for name in _PRESET_FIXES if merged.get(name) is not None]
-        if fixed:
-            raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
     return cfg
 
 

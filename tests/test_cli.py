@@ -155,7 +155,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("p_cav", 0.5), ("photon_rate", 100.0), ("protocol", "product"), ("fidelity", 0.5), ("a2", 0.9)],
+        [
+            ("p_cav", 0.5), ("photon_rate", 100.0), ("protocol", "product"),
+            ("fidelity", 0.5), ("a2", 0.9), ("b2", 0.5),
+        ],
     )
     def test_preset_rejects_operating_point_keys(self, capsys, tmp_path, key, value):
         path = tmp_path / "run.json"

@@ -84,6 +84,23 @@ def test_report_matches_golden(name, tmp_path):
     assert render_case(name, tmp_path).encode("utf-8") == expected
 
 
+_JSON_CASES = sorted(name for name in CASES if (GOLDEN / f"{name}.out").read_text().startswith("{"))
+
+
+@pytest.mark.parametrize("name", _JSON_CASES)
+def test_config_echo_reruns_to_same_report(name, tmp_path):
+    """A JSON report's echoed config, given back through --config, reproduces the report."""
+    expected = (GOLDEN / f"{name}.out").read_text()
+    report = json.loads(expected)
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(report["config"]))
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main([report["scenario"].replace("_", "-"), "--config", str(path)])
+    assert code == 0
+    assert buffer.getvalue() == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
