@@ -48,7 +48,6 @@ from .recycler import (
     IterationResult,
     MonteCarloResult,
     RecycleConfig,
-    TimeoutPolicy,
     iterate_analytic,
     iterate_numeric,
     monte_carlo,
@@ -92,7 +91,6 @@ __all__ = [
     "RecycleConfig",
     "SingleIonState",
     "ThroughputReport",
-    "TimeoutPolicy",
     "beam_splitter",
     "bell_phi_minus",
     "bell_phi_plus",

@@ -29,19 +29,19 @@ SCHEMA_VERSION = 1
 TOOL_NAME = "ionmzi"
 
 _SWEEP_AXES = ("a2", "alpha2", "fidelity")
-#: Throughput protocol -> the config key of its source value.
-_SOURCE_KEY = {"mixed": "fidelity", "product": "a2"}
+#: Throughput protocol -> (config key of its source value, REFERENCE_POINT key of a preset's).
+_SOURCE_KEY = {"mixed": ("fidelity", "input_fidelity"), "product": ("a2", "plus_population")}
 #: Config keys a throughput preset fixes.  A config may give them only at their
 #: RunConfig defaults, which every preset's report echoes, so an echo re-runs.
 _PRESET_FIXES = ("a2", "b2", "fidelity", "p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
-#: Throughput preset -> (protocol, REFERENCE_POINT key of the source value, notes).
+#: Throughput preset -> (protocol, notes).
 _PRESETS = {
-    "paper-mixed": ("mixed", "input_fidelity", (
+    "paper-mixed": ("mixed", (
         "reference operating point: mixed input with fidelity 0.7, p_cav 0.01, "
         "detector efficiency 0.7, unit outcoupling, 5000 photons/s",
         "the published claim rounds 8.17 pairs/s to eight pairs per second",
     )),
-    "paper-product": ("product", "plus_population", (
+    "paper-product": ("product", (
         "reference operating point: matched product input with m+ population 0.7, "
         "p_cav 0.01, detector efficiency 0.7, unit outcoupling, 5000 photons/s",
         "the published claim rounds 4.90 pairs/s to five pairs per second",
@@ -222,8 +222,12 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("fidelity must lie in [0,1]")
     if cfg.trials < 1:
         raise UsageError("trials must be positive")
+    if cfg.trials > 10_000_000:
+        raise UsageError("trials must be at most 10000000")
     if cfg.max_passes < 1:
         raise UsageError("max-passes must be positive")
+    if cfg.max_passes > 4096:
+        raise UsageError("max-passes must be at most 4096")
     if cfg.format not in ("json", "csv", "table"):
         raise UsageError("format must be json, csv or table")
     if cfg.format == "csv" and cfg.scenario != "sweep":
@@ -237,6 +241,8 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError("sweep needs --from and --to")
         if cfg.points is None or cfg.points < 2:
             raise UsageError("sweep needs at least 2 points")
+        if cfg.points > 100_000:
+            raise UsageError("sweep takes at most 100000 points")
         for bound in (cfg.sweep_from, cfg.sweep_to):
             if not 0.0 <= bound <= 1.0:
                 raise UsageError(f"{cfg.axis} must lie in [0, 1]")
@@ -502,16 +508,17 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
         ]
     notes = ()
     if cfg.preset is not None:
-        protocol_name, reference_key, notes = _PRESETS[cfg.preset]
+        protocol_name, notes = _PRESETS[cfg.preset]
+        source_key, reference_key = _SOURCE_KEY[protocol_name]
         cfg = replace(
             cfg,
             protocol=protocol_name,
             p_cav=reference["emission_probability_quoted"].value,
             detector_efficiency=reference["detector_efficiency"].value,
             photon_rate=reference["photon_rate"].value,
-            **{_SOURCE_KEY[protocol_name]: reference[reference_key].value},
+            **{source_key: reference[reference_key].value},
         )
-    source_key = _SOURCE_KEY[cfg.protocol]
+    source_key = _SOURCE_KEY[cfg.protocol][0]
     value = getattr(cfg, source_key)
     params = efficiency.EfficiencyParams(
         finesse=reference["finesse"].value,

@@ -313,7 +313,7 @@ class MixedPassResult:
     post_detect_lower: MixedState | None
 
 
-def run_mixed(fidelity: float, enclosed: bool = False) -> MixedPassResult:
+def run_mixed(fidelity: float) -> MixedPassResult:
     """Single traversal for the two-component mixed input with overlap ``fidelity`` on |Psi+>."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
@@ -322,7 +322,7 @@ def run_mixed(fidelity: float, enclosed: bool = False) -> MixedPassResult:
         inputs.append((fidelity, bell_psi_plus()))
     if fidelity < 1.0:
         inputs.append((1.0 - fidelity, bell_phi_plus()))
-    runs = tuple((w, ions, single_pass(ions, enclosed=enclosed)) for w, ions in inputs)
+    runs = tuple((w, ions, single_pass(ions)) for w, ions in inputs)
 
     def pooled(value) -> float:
         return sum(w * value(r) for w, _, r in runs)

@@ -9,31 +9,19 @@ surviving q-weight itself quarters, so success converges geometrically
 to q/3.  The |m-,m-> component neither scatters nor fires the detector
 and survives every round ("stuck" weight).
 
-Feeding the mirror-port branch back and re-inputting a fresh photon on
-the post-recycle ion state induce the same per-round map (the recycled
-state has no |m+,m+> component), so the two timeout policies differ only
-in bookkeeping: ``stop`` halts after ``max_passes`` rounds and reports
-the unresolved remainder, ``reinject`` keeps going until the weight that
-could still resolve drops below the truncation threshold.
+Both walkers stop at the pass budget ``max_passes`` (the numeric walk
+also once the weight that could still resolve is negligible); the weight
+still recycling then splits into its stuck |m-,m-> fraction and the
+truncated remainder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .protocol import IonPairState, PassResult, single_pass
+from .protocol import IonPairState, single_pass
 from .states import abs2
-
-#: Hard cap on total rounds under the reinject policy; the resolvable
-#: weight quarters per round, so this is never reached in practice.
-_REINJECT_CAP = 4096
-
-
-class TimeoutPolicy(Enum):
-    STOP = "stop"
-    REINJECT = "reinject"
 
 
 @dataclass(frozen=True)
@@ -46,7 +34,6 @@ class RecycleConfig:
 
     max_passes: int = 30
     truncation_epsilon: float = 1e-12
-    timeout: TimeoutPolicy = TimeoutPolicy.STOP
 
     def __post_init__(self) -> None:
         if self.max_passes < 1:
@@ -111,7 +98,6 @@ def iterate_numeric(ions: IonPairState, config: RecycleConfig | None = None) -> 
     asymptotically stuck is reported as truncated.
     """
     cfg = config if config is not None else RecycleConfig()
-    budget = cfg.max_passes if cfg.timeout is TimeoutPolicy.STOP else _REINJECT_CAP
     weight = 1.0
     state: IonPairState | None = ions
     p_entangled = 0.0
@@ -119,7 +105,7 @@ def iterate_numeric(ions: IonPairState, config: RecycleConfig | None = None) -> 
     post: IonPairState | None = None
     distribution: dict[int, float] = {}
     rounds = 0
-    while rounds < budget and state is not None:
+    while rounds < cfg.max_passes and state is not None:
         result = single_pass(state, enclosed=True)
         rounds += 1
         detected = weight * result.p_detect_lower
@@ -214,38 +200,20 @@ def monte_carlo(
 
     Each trial walks the rounds, drawing the branch from the exact
     per-round probabilities; the recycled ion state follows one
-    deterministic sequence, so the branch thresholds are tabulated once.
-    A trial still recycling at the pass budget resolves against the
-    stuck fraction of its current state under the ``stop`` policy, and
-    keeps going (fresh photon, identical map) under ``reinject`` until
-    its chance of ever resolving drops below the truncation threshold.
-    Deterministic for fixed (seed, trials).
+    deterministic sequence, so the branch thresholds are tabulated once,
+    as the first trial reaches each round.  A trial still recycling at
+    the pass budget (or entering a round with no state left) resolves
+    against the stuck fraction of its current state, which is zero
+    without a state.  Deterministic for fixed (seed, trials).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     cfg = config if config is not None else RecycleConfig()
-    reinject = cfg.timeout is TimeoutPolicy.REINJECT
-    budget = _REINJECT_CAP if reinject else cfg.max_passes
 
-    # Per-round cumulative thresholds (scatter_u, +scatter_l, +detect) and
-    # the state entering each round; extended lazily as trials go deeper.
+    # Per-round cumulative thresholds (scatter, +detect) and the state entering each round.
     states: list[IonPairState | None] = [ions]
-    thresholds: list[tuple[float, float, float]] = []
+    thresholds: list[tuple[float, float]] = []
     post: IonPairState | None = None
-
-    def ensure_round(index: int) -> None:
-        """Tabulate round ``index`` (1-based); rounds are reached in order."""
-        nonlocal post
-        if len(thresholds) < index:
-            result: PassResult = single_pass(states[index - 1], enclosed=True)
-            first = result.p_scatter_u
-            second = first + result.p_scatter_l
-            third = second + result.p_detect_lower
-            thresholds.append((first, second, third))
-            states.append(result.post_recycle)
-            if post is None and result.post_detect_lower is not None:
-                post = result.post_detect_lower
-
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
     detections: dict[int, int] = {}
     for trial in range(trials):
@@ -253,29 +221,25 @@ def monte_carlo(
         rounds = 0
         while True:
             current = states[rounds]
-            if current is None:
-                counts["truncated"] += 1
-                break
-            if reinject and 1.0 - abs2(current.c_mm) < cfg.truncation_epsilon:
-                counts["stuck"] += 1
-                break
-            if rounds >= budget:
-                stream = (stream + _GOLDEN) & _MASK
-                draw = (_mix64(stream) >> 11) * _INV_2_53
-                if draw < abs2(current.c_mm):
-                    counts["stuck"] += 1
-                else:
-                    counts["truncated"] += 1
-                break
-            rounds += 1
-            ensure_round(rounds)
-            first, second, third = thresholds[rounds - 1]
             stream = (stream + _GOLDEN) & _MASK
             draw = (_mix64(stream) >> 11) * _INV_2_53
-            if draw < second:
+            if current is None or rounds >= cfg.max_passes:
+                stuck = abs2(current.c_mm) if current is not None else 0.0
+                counts["stuck" if draw < stuck else "truncated"] += 1
+                break
+            if rounds == len(thresholds):
+                result = single_pass(current, enclosed=True)
+                scatter = result.p_scatter_u + result.p_scatter_l
+                thresholds.append((scatter, scatter + result.p_detect_lower))
+                states.append(result.post_recycle)
+                if post is None and result.post_detect_lower is not None:
+                    post = result.post_detect_lower
+            scatter, detect = thresholds[rounds]
+            rounds += 1
+            if draw < scatter:
                 counts["scattered"] += 1
                 break
-            if draw < third:
+            if draw < detect:
                 counts["entangled"] += 1
                 detections[rounds] = detections.get(rounds, 0) + 1
                 break

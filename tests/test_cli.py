@@ -137,6 +137,13 @@ class TestParseConfig:
                 "scenario mixed sweeps the fidelity axis",
             ),
             (["iterate"], {"preset": "paper-mixed"}, "preset is only available for throughput"),
+            (["monte-carlo"], {"trials": 10**400}, "trials must be at most 10000000"),
+            (["iterate", "--max-passes", "4097"], None, "max-passes must be at most 4096"),
+            (
+                ["sweep", "--scenario", "iterate", "--axis", "a2", "--from", "0", "--to", "1", "--points", "100001"],
+                None,
+                "sweep takes at most 100000 points",
+            ),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):

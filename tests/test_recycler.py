@@ -18,7 +18,6 @@ from ionmzi.protocol import (
 )
 from ionmzi.recycler import (
     RecycleConfig,
-    TimeoutPolicy,
     iterate_analytic,
     iterate_numeric,
     monte_carlo,
@@ -161,9 +160,8 @@ class TestIterateNumeric:
 
     def test_reinject_leaves_nothing_truncated(self):
         ions = balanced_product(0.7)
-        result = iterate_numeric(
-            ions, RecycleConfig(max_passes=3, timeout=TimeoutPolicy.REINJECT)
-        )
+        # A budget deep enough that the resolvable weight falls below truncation_epsilon first.
+        result = iterate_numeric(ions, RecycleConfig(max_passes=4096))
         analytic = iterate_analytic(ions)
         assert result.p_truncated <= 1e-12
         assert result.p_entangled == pytest.approx(analytic.p_entangled, abs=1e-10)
@@ -270,6 +268,13 @@ class TestMonteCarlo:
         sigma = math.sqrt(expected * (1.0 - expected) / 200_000)
         assert abs(result.passes_distribution[1] - expected) < 3.0 * sigma
 
+    # Exact outcomes of monte_carlo(balanced_product(0.03), 500, seed=7) per pass budget.
+    BUDGET_OUTCOMES = {
+        1: ({"entangled": 8, "scattered": 14, "stuck": 473, "truncated": 5}, {1: 0.016}),
+        5: ({"entangled": 10, "scattered": 19, "stuck": 471, "truncated": 0}, {1: 0.016, 2: 0.004}),
+        30: ({"entangled": 10, "scattered": 19, "stuck": 471, "truncated": 0}, {1: 0.016, 2: 0.004}),
+    }
+
     @pytest.mark.parametrize("max_passes", [1, 5, 30])
     def test_pass_budget_tabulates_no_extra_round(self, monkeypatch, max_passes):
         calls = []
@@ -282,3 +287,6 @@ class TestMonteCarlo:
         result = monte_carlo(balanced_product(0.03), 500, seed=7, config=RecycleConfig(max_passes=max_passes))
         assert result.counts["stuck"] + result.counts["truncated"] > 0  # some trials reach the budget
         assert len(calls) == max_passes
+        counts, distribution = self.BUDGET_OUTCOMES[max_passes]
+        assert result.counts == counts
+        assert result.passes_distribution == distribution
