@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus, ion_pair_pure_state
@@ -49,242 +49,21 @@ _PRESETS = {
 }
 #: Every --preset; ``paper-cavity`` reports the cavity formulas instead of a throughput.
 _PRESET_CHOICES = (*_PRESETS, "paper-cavity")
+_AMPLITUDES = ("a2", "b2", "alpha2", "phase_alpha", "phase_beta", "phase_a", "phase_b")
+#: Subcommand -> (its --help line, the keys it takes as flags, in --help order).
+_SUBCOMMANDS = {
+    "single-pass": ("one traversal, branch probabilities and post states", _AMPLITUDES),
+    "iterate": ("recycling loop, closed form and round-by-round", (*_AMPLITUDES, "max_passes")),
+    "mixed": ("two-component mixed input, single pass and iterated", ("fidelity", "max_passes")),
+    "monte-carlo": ("sampled recycling loop with standard errors", (*_AMPLITUDES, "trials", "seed", "max_passes")),
+    "throughput": ("entangled pairs per second", ("preset",)),
+    "sweep": ("scan one axis and emit one row per point", (
+        "sweep_scenario", "axis", "sweep_from", "sweep_to", "points", *_AMPLITUDES, "max_passes")),
+}
 
 
 class UsageError(Exception):
     """Invalid flags or config file; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters; echoed verbatim into every report."""
-
-    scenario: str
-    a2: float = 0.5
-    alpha2: float | None = None
-    b2: float | None = None
-    phase_alpha: float = 0.0
-    phase_beta: float = 0.0
-    phase_a: float = 0.0
-    phase_b: float = 0.0
-    fidelity: float = 0.7
-    trials: int = 100_000
-    seed: int = 0
-    max_passes: int = 30
-    preset: str | None = None
-    format: str = "json"
-    axis: str | None = None
-    sweep_from: float | None = None
-    sweep_to: float | None = None
-    points: int | None = None
-    sweep_scenario: str | None = None
-    p_cav: float | None = None
-    detector_efficiency: float | None = None
-    outcoupling: float | None = None
-    photon_rate: float | None = None
-    protocol: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "RunConfig":
-        """Build a config, rejecting unknown keys and values of the wrong type.
-
-        Numbers must be finite; an integer given for a float key becomes a float.
-        """
-        annotations = {f.name: f.type for f in fields(cls)}
-        checked = {}
-        for key, value in values.items():
-            if key not in annotations:
-                raise UsageError(f"unknown config key: {key}")
-            checked[key] = _typed(key, value, annotations[key])
-        if "scenario" not in checked:
-            raise UsageError("config needs a scenario")
-        return cls(**checked)
-
-
-def _typed(key: str, value, annotation: str):
-    """``value`` checked against a field annotation such as ``float | None``."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
-        return None
-    integral = isinstance(value, int) and not isinstance(value, bool)
-    if (kind == "str" and isinstance(value, str)) or (kind == "int" and integral):
-        return value
-    if kind == "float" and (integral or isinstance(value, float)):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise UsageError(f"{key} must be a finite number")
-        return number
-    expected = {"str": "a string", "int": "an integer", "float": "a number"}[kind]
-    raise UsageError(f"{key} must be {expected}" + (" or null" if optional else ""))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=TOOL_NAME,
-        description="Simulate post-selected two-ion entanglement generation in a "
-        "single-photon Mach-Zehnder interferometer.",
-    )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "table"), default=None)
-        p.add_argument("--config", default=None, help="JSON file with config keys; flags override")
-
-    def amplitudes(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--a2", type=float, default=None, help="lower ion m+ population")
-        p.add_argument("--b2", type=float, default=None, help="lower ion m- population (must complement --a2)")
-        p.add_argument("--alpha2", type=float, default=None, help="upper ion m+ population (defaults to --a2)")
-        p.add_argument("--phase-alpha", type=float, default=None, dest="phase_alpha")
-        p.add_argument("--phase-beta", type=float, default=None, dest="phase_beta")
-        p.add_argument("--phase-a", type=float, default=None, dest="phase_a")
-        p.add_argument("--phase-b", type=float, default=None, dest="phase_b")
-
-    single = sub.add_parser("single-pass", help="one traversal, branch probabilities and post states")
-    amplitudes(single)
-    common(single)
-
-    iterate = sub.add_parser("iterate", help="recycling loop, closed form and round-by-round")
-    amplitudes(iterate)
-    iterate.add_argument("--max-passes", type=int, default=None, dest="max_passes")
-    common(iterate)
-
-    mixed = sub.add_parser("mixed", help="two-component mixed input, single pass and iterated")
-    mixed.add_argument("--fidelity", type=float, default=None, help="input overlap with |Psi+>")
-    mixed.add_argument("--max-passes", type=int, default=None, dest="max_passes")
-    common(mixed)
-
-    mc = sub.add_parser("monte-carlo", help="sampled recycling loop with standard errors")
-    amplitudes(mc)
-    mc.add_argument("--trials", type=int, default=None)
-    mc.add_argument("--seed", type=int, default=None)
-    mc.add_argument("--max-passes", type=int, default=None, dest="max_passes")
-    common(mc)
-
-    throughput = sub.add_parser("throughput", help="entangled pairs per second")
-    throughput.add_argument("--preset", choices=_PRESET_CHOICES, default=None)
-    common(throughput)
-
-    sweep = sub.add_parser("sweep", help="scan one axis and emit one row per point")
-    sweep.add_argument("--scenario", dest="sweep_scenario", choices=_SWEEPS, default=None)
-    sweep.add_argument("--axis", choices=_SWEEP_AXES, default=None)
-    sweep.add_argument("--from", type=float, default=None, dest="sweep_from")
-    sweep.add_argument("--to", type=float, default=None, dest="sweep_to")
-    sweep.add_argument("--points", type=int, default=None)
-    amplitudes(sweep)
-    sweep.add_argument("--max-passes", type=int, default=None, dest="max_passes")
-    common(sweep)
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; parsing leaves it unchanged."""
-    return build_parser()
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            values = json.load(handle)
-    except OSError as err:
-        raise UsageError(f"cannot read config file: {err}") from err
-    except (ValueError, RecursionError) as err:  # bad UTF-8, bad JSON, too long an integer, too deep
-        raise UsageError(f"config file is not valid JSON: {err}") from err
-    if not isinstance(values, dict):
-        raise UsageError("config file must hold a JSON object")
-    return values
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.scenario not in _RUNNERS:
-        raise UsageError(f"unknown scenario: {cfg.scenario}")
-    if cfg.preset is not None:
-        if cfg.scenario != "throughput":
-            raise UsageError("preset is only available for throughput")
-        if cfg.preset not in _PRESET_CHOICES:
-            raise UsageError(f"unknown preset: {cfg.preset}")
-        fixed = [f.name for f in fields(cfg) if f.name in _PRESET_FIXES and getattr(cfg, f.name) != f.default]
-        if fixed:
-            raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
-    if not 0.0 <= cfg.a2 <= 1.0:
-        raise UsageError("a2 must lie in [0, 1]")
-    if cfg.alpha2 is not None and not 0.0 <= cfg.alpha2 <= 1.0:
-        raise UsageError("alpha2 must lie in [0, 1]")
-    if cfg.b2 is not None and abs(cfg.a2 + cfg.b2 - 1.0) > 1e-9:
-        raise UsageError("a2 and b2 must sum to 1")
-    if not 0.0 <= cfg.fidelity <= 1.0:
-        raise UsageError("fidelity must lie in [0,1]")
-    if cfg.trials < 1:
-        raise UsageError("trials must be positive")
-    if cfg.trials > 10_000_000:
-        raise UsageError("trials must be at most 10000000")
-    if cfg.max_passes < 1:
-        raise UsageError("max-passes must be positive")
-    if cfg.max_passes > 4096:
-        raise UsageError("max-passes must be at most 4096")
-    if cfg.format not in ("json", "csv", "table"):
-        raise UsageError("format must be json, csv or table")
-    if cfg.format == "csv" and cfg.scenario != "sweep":
-        raise UsageError("csv format is only available for sweep")
-    if cfg.scenario == "sweep":
-        if cfg.sweep_scenario not in _SWEEPS:
-            raise UsageError("sweep needs --scenario (single_pass, iterate or mixed)")
-        if cfg.axis not in _SWEEP_AXES:
-            raise UsageError("sweep needs --axis (a2, alpha2 or fidelity)")
-        if cfg.sweep_from is None or cfg.sweep_to is None:
-            raise UsageError("sweep needs --from and --to")
-        if cfg.points is None or cfg.points < 2:
-            raise UsageError("sweep needs at least 2 points")
-        if cfg.points > 100_000:
-            raise UsageError("sweep takes at most 100000 points")
-        for bound in (cfg.sweep_from, cfg.sweep_to):
-            if not 0.0 <= bound <= 1.0:
-                raise UsageError(f"{cfg.axis} must lie in [0, 1]")
-        if cfg.axis == "fidelity" and cfg.sweep_scenario != "mixed":
-            raise UsageError("axis fidelity needs --scenario mixed")
-        if cfg.axis != "fidelity" and cfg.sweep_scenario == "mixed":
-            raise UsageError("scenario mixed sweeps the fidelity axis")
-    for name in ("p_cav", "detector_efficiency", "outcoupling"):
-        value = getattr(cfg, name)
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise UsageError(f"{name} must lie in [0, 1]")
-    if cfg.photon_rate is not None and cfg.photon_rate < 0.0:
-        raise UsageError("photon_rate must be nonnegative")
-    if cfg.scenario == "throughput" and cfg.preset is None:
-        needed = ("p_cav", "detector_efficiency", "photon_rate", "protocol")
-        if any(getattr(cfg, name) is None for name in needed):
-            raise UsageError(
-                "throughput needs --preset or config keys p_cav, detector_efficiency, "
-                "photon_rate and protocol"
-            )
-        if cfg.protocol not in _SOURCE_KEY:
-            raise UsageError("protocol must be mixed or product")
-
-
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    """Resolve flags plus optional config file into a validated RunConfig.
-
-    Flags that were given explicitly override config-file keys; unknown
-    config keys are rejected by name.
-    """
-    namespace = _parser().parse_args(argv)
-    given = {k: v for k, v in vars(namespace).items() if v is not None and k != "config"}
-    given["scenario"] = given["scenario"].replace("-", "_")
-    merged: dict = {}
-    if namespace.config is not None:
-        merged.update(_load_config_file(namespace.config))
-    merged.update(given)
-    cfg = RunConfig.from_dict(merged)
-    if cfg.scenario == "sweep" and "format" not in merged:
-        cfg.format = "csv"
-    _validate(cfg)
-    return cfg
 
 
 # --- report serialization ---------------------------------------------------
@@ -574,7 +353,7 @@ def _run_sweep(cfg: RunConfig) -> tuple[dict, list[str]]:
     span = cfg.sweep_to - cfg.sweep_from
     rows = []
     for index in range(cfg.points):
-        value = cfg.sweep_from + span * index / (cfg.points - 1)
+        value = cfg.sweep_to if index == cfg.points - 1 else cfg.sweep_from + span * index / (cfg.points - 1)
         point = evaluate(replace(cfg, **{cfg.axis: value}))
         rows.append({cfg.axis: value, **{column: point[column] for column in columns}})
     results = {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
@@ -589,6 +368,207 @@ _RUNNERS = {
     "throughput": _run_throughput,
     "sweep": _run_sweep,
 }
+
+
+# --- config -----------------------------------------------------------------
+
+
+_UNIT = (0, 1, "[0, 1]")
+_FORMATS = ("json", "csv", "table")
+
+
+def _key(default=None, flag=None, help=None, *, choices=None, within=None):
+    """A RunConfig field carrying its key's flag, ``--help`` text, choices and range: ``within``
+    is ``(low, high, interval)``, with the interval named as written, or limits ``(low, high)``,
+    where ``low`` 0 means nonnegative, 1 positive, and ``high`` is a cap or None."""
+    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices, "within": within})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved run parameters; echoed verbatim into every report.
+
+    Each field declares its key once: ``build_parser`` reads its flag, ``_validate`` its range.
+    """
+
+    scenario: str
+    a2: float = _key(0.5, "--a2", "lower ion m+ population", within=_UNIT)
+    alpha2: float | None = _key(None, "--alpha2", "upper ion m+ population (defaults to --a2)", within=_UNIT)
+    b2: float | None = _key(None, "--b2", "lower ion m- population (must complement --a2)")
+    phase_alpha: float = _key(0.0, "--phase-alpha")
+    phase_beta: float = _key(0.0, "--phase-beta")
+    phase_a: float = _key(0.0, "--phase-a")
+    phase_b: float = _key(0.0, "--phase-b")
+    fidelity: float = _key(0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]"))
+    trials: int = _key(100_000, "--trials", within=(1, 10_000_000))
+    seed: int = _key(0, "--seed")
+    max_passes: int = _key(30, "--max-passes", within=(1, 4096))
+    preset: str | None = _key(None, "--preset", choices=_PRESET_CHOICES)
+    format: str = _key("json", "--format", choices=_FORMATS)
+    axis: str | None = _key(None, "--axis", choices=_SWEEP_AXES)
+    sweep_from: float | None = _key(None, "--from")
+    sweep_to: float | None = _key(None, "--to")
+    points: int | None = _key(None, "--points")
+    sweep_scenario: str | None = _key(None, "--scenario", choices=_SWEEPS)
+    p_cav: float | None = _key(within=_UNIT)
+    detector_efficiency: float | None = _key(within=_UNIT)
+    outcoupling: float | None = _key(within=_UNIT)
+    photon_rate: float | None = _key(within=(0, None))
+    protocol: str | None = None
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, values: dict) -> "RunConfig":
+        """Build a config, rejecting unknown keys and values of the wrong type.
+
+        Numbers must be finite; an integer given for a float key becomes a float.
+        """
+        annotations = {f.name: f.type for f in fields(cls)}
+        checked = {}
+        for key, value in values.items():
+            if key not in annotations:
+                raise UsageError(f"unknown config key: {key}")
+            checked[key] = _typed(key, value, annotations[key])
+        if "scenario" not in checked:
+            raise UsageError("config needs a scenario")
+        return cls(**checked)
+
+
+def _typed(key: str, value, annotation: str):
+    """``value`` checked against a field annotation such as ``float | None``."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    integral = isinstance(value, int) and not isinstance(value, bool)
+    if (kind == "str" and isinstance(value, str)) or (kind == "int" and integral):
+        return value
+    if kind == "float" and (integral or isinstance(value, float)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise UsageError(f"{key} must be a finite number")
+        return number
+    expected = {"str": "a string", "int": "an integer", "float": "a number"}[kind]
+    raise UsageError(f"{key} must be {expected}" + (" or null" if optional else ""))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=TOOL_NAME,
+        description="Simulate post-selected two-ion entanglement generation in a "
+        "single-photon Mach-Zehnder interferometer.",
+    )
+    sub = parser.add_subparsers(dest="scenario", required=True)
+    kinds = {"int": int, "float": float}
+    declared = {f.name: (f.metadata, kinds.get(f.type.partition(" | ")[0])) for f in fields(RunConfig)}
+    for name, (help_line, keys) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for key in (*keys, "format"):
+            meta, kind = declared[key]
+            command.add_argument(meta["flag"], dest=key, type=kind, choices=meta["choices"], help=meta["help"])
+        command.add_argument("--config", help="JSON file with config keys; flags override")
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            values = json.load(handle)
+    except OSError as err:
+        raise UsageError(f"cannot read config file: {err}") from err
+    except (ValueError, RecursionError) as err:  # bad UTF-8, bad JSON, too long an integer, too deep
+        raise UsageError(f"config file is not valid JSON: {err}") from err
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    return values
+
+
+def _validate(cfg: RunConfig) -> None:
+    if cfg.scenario not in _RUNNERS:
+        raise UsageError(f"unknown scenario: {cfg.scenario}")
+    if cfg.preset is not None:
+        if cfg.scenario != "throughput":
+            raise UsageError("preset is only available for throughput")
+        if cfg.preset not in _PRESET_CHOICES:
+            raise UsageError(f"unknown preset: {cfg.preset}")
+        fixed = [f.name for f in fields(cfg) if f.name in _PRESET_FIXES and getattr(cfg, f.name) != f.default]
+        if fixed:
+            raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
+    for f in fields(cfg):
+        value, within = getattr(cfg, f.name), f.metadata.get("within")
+        if value is None or within is None:
+            continue
+        low, high, *interval = within
+        label = (f.metadata["flag"] or f.name).lstrip("-")
+        if interval and not low <= value <= high:
+            raise UsageError(f"{label} must lie in {interval[0]}")
+        if value < low:
+            raise UsageError(f"{label} must be {'positive' if low else 'nonnegative'}")
+        if high is not None and value > high:
+            raise UsageError(f"{label} must be at most {high}")
+    if cfg.b2 is not None and abs(cfg.a2 + cfg.b2 - 1.0) > 1e-9:
+        raise UsageError("a2 and b2 must sum to 1")
+    if cfg.format not in _FORMATS:
+        raise UsageError("format must be json, csv or table")
+    if cfg.format == "csv" and cfg.scenario != "sweep":
+        raise UsageError("csv format is only available for sweep")
+    if cfg.scenario == "sweep":
+        if cfg.sweep_scenario not in _SWEEPS:
+            raise UsageError("sweep needs --scenario (single_pass, iterate or mixed)")
+        if cfg.axis not in _SWEEP_AXES:
+            raise UsageError("sweep needs --axis (a2, alpha2 or fidelity)")
+        if cfg.sweep_from is None or cfg.sweep_to is None:
+            raise UsageError("sweep needs --from and --to")
+        if cfg.points is None or cfg.points < 2:
+            raise UsageError("sweep needs at least 2 points")
+        if cfg.points > 100_000:
+            raise UsageError("sweep takes at most 100000 points")
+        for bound in (cfg.sweep_from, cfg.sweep_to):
+            if not 0.0 <= bound <= 1.0:
+                raise UsageError(f"{cfg.axis} must lie in [0, 1]")
+        if cfg.axis == "fidelity" and cfg.sweep_scenario != "mixed":
+            raise UsageError("axis fidelity needs --scenario mixed")
+        if cfg.axis != "fidelity" and cfg.sweep_scenario == "mixed":
+            raise UsageError("scenario mixed sweeps the fidelity axis")
+    if cfg.scenario == "throughput" and cfg.preset is None:
+        needed = ("p_cav", "detector_efficiency", "photon_rate", "protocol")
+        if any(getattr(cfg, name) is None for name in needed):
+            raise UsageError(
+                "throughput needs --preset or config keys p_cav, detector_efficiency, "
+                "photon_rate and protocol"
+            )
+        if cfg.protocol not in _SOURCE_KEY:
+            raise UsageError("protocol must be mixed or product")
+
+
+def parse_config(argv: list[str] | None = None) -> RunConfig:
+    """Resolve flags plus optional config file into a validated RunConfig.
+
+    Flags that were given explicitly override config-file keys; unknown
+    config keys are rejected by name.
+    """
+    namespace = _parser().parse_args(argv)
+    given = {k: v for k, v in vars(namespace).items() if v is not None and k != "config"}
+    given["scenario"] = given["scenario"].replace("-", "_")
+    merged: dict = {}
+    if namespace.config is not None:
+        merged.update(_load_config_file(namespace.config))
+    merged.update(given)
+    cfg = RunConfig.from_dict(merged)
+    if cfg.scenario == "sweep" and "format" not in merged:
+        cfg.format = "csv"
+    _validate(cfg)
+    return cfg
 
 
 def build_report(cfg: RunConfig) -> dict:

@@ -331,12 +331,8 @@ def run_mixed(fidelity: float) -> MixedPassResult:
         total = pooled(prob)
         if total <= 0.0:
             return None
-        parts = [
-            (w * prob(r) / total, ion_pair_pure_state(post(r)))
-            for w, _, r in runs
-            if prob(r) > 0.0 and post(r) is not None
-        ]
-        return MixedState(parts)
+        parts = [(w * prob(r) / total, post(r)) for w, _, r in runs if post(r) is not None]
+        return MixedState((weight, ion_pair_pure_state(state)) for weight, state in parts if weight > 0.0)
 
     return MixedPassResult(
         input_fidelity=fidelity,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import MISSING, fields
 from importlib import resources
 
 import jsonschema
@@ -270,6 +271,21 @@ class TestReports:
         for row in rows:
             assert row["p_detect_lower"] == pytest.approx(row["fidelity"] / 4.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "scenario, axis, start, stop, points",
+        [
+            ("single_pass", "a2", "0.03", "0", "10"),
+            ("iterate", "alpha2", "0.08", "1", "6"),
+            ("mixed", "fidelity", "0.03", "0", "10"),
+        ],
+    )
+    def test_sweep_ends_exactly_at_to(self, capsys, scenario, axis, start, stop, points):
+        # start + (stop - start) * (n - 1) / (n - 1) misses stop by one ulp for these endpoints
+        argv = ("sweep", "--scenario", scenario, "--axis", axis, "--from", start, "--to", stop, "--points", points)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert float(out.splitlines()[-1].split(",")[0]) == float(stop)
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "mixed", "--fidelity", "0.7", "--format", "table")
         assert code == 0
@@ -349,6 +365,19 @@ class TestSchema:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0, argv
             jsonschema.validate(json.loads(out), report_schema)
+
+    def test_config_schema_matches_run_config(self, report_schema):
+        config = report_schema["properties"]["config"]
+        json_types = {"str": "string", "int": "integer", "float": "number"}
+        expected = {}
+        for field in fields(RunConfig):
+            kind, _, optional = field.type.partition(" | ")
+            expected[field.name] = {"type": [json_types[kind], "null"] if optional else json_types[kind]}
+            if field.name == "format":
+                expected[field.name] = {"enum": list(field.metadata["choices"])}
+        assert list(config["properties"]) == list(expected)
+        assert config["properties"] == expected
+        assert config["required"] == [field.name for field in fields(RunConfig) if field.default is MISSING]
 
     def test_config_echo_reparses_equal(self, capsys):
         code, out, _ = run_cli(capsys, "monte-carlo", "--a2", "0.7", "--trials", "100", "--seed", "3")

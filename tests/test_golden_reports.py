@@ -1,8 +1,10 @@
-"""Byte-exact CLI reports for a fixed list of runs.
+"""Byte-exact CLI reports for a fixed list of runs, and the ``--help`` pages.
 
-Each case's report is stored under ``tests/golden/<case>.out``.  Any
-refactor must leave every one of them byte-identical.  After a change
-that is meant to alter a report, regenerate the files with
+Each case's report is stored under ``tests/golden/<case>.out``, and the
+help of the top level and of each subcommand, rendered 80 columns wide,
+under ``tests/golden/help_<page>.out``.  Any refactor must leave every one
+of them byte-identical.  After a change that is meant to alter a report or
+a help page, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
@@ -12,6 +14,7 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -64,6 +67,13 @@ CASES = {
 }
 
 
+#: help page -> argv; rendered with COLUMNS=80, as argparse wraps to the terminal width.
+HELP_PAGES = {
+    "top": ["--help"],
+    **{name: [name, "--help"] for name in ("single-pass", "iterate", "mixed", "monte-carlo", "throughput", "sweep")},
+}
+
+
 def render_case(name: str, config_dir: pathlib.Path) -> str:
     argv, config = CASES[name]
     argv = list(argv)
@@ -78,10 +88,23 @@ def render_case(name: str, config_dir: pathlib.Path) -> str:
     return buffer.getvalue()
 
 
+def render_help(page: str) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.suppress(SystemExit):
+        main(HELP_PAGES[page])
+    return buffer.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.out").read_bytes()
     assert render_case(name, tmp_path).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("page", sorted(HELP_PAGES))
+def test_help_matches_golden(page, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
 
 
 _JSON_CASES = sorted(name for name in CASES if (GOLDEN / f"{name}.out").read_text().startswith("{"))
@@ -110,3 +133,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(CASES):
             (GOLDEN / f"{case}.out").write_bytes(render_case(case, pathlib.Path(scratch)).encode("utf-8"))
+    os.environ["COLUMNS"] = "80"
+    for page in sorted(HELP_PAGES):
+        (GOLDEN / f"help_{page}.out").write_bytes(render_help(page).encode("utf-8"))

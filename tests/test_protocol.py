@@ -283,6 +283,12 @@ class TestRunMixed:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             run_mixed(1.4)
 
+    def test_underflowing_component_weight_is_dropped(self):
+        # the |Psi+> share of the upper-detector ensemble, 5e-324 * 0.25 / 0.5, underflows to 0
+        run = run_mixed(5e-324)
+        assert run.post_detect_upper == run_mixed(0.0).post_detect_upper
+        assert run.post_detect_lower is None
+
     def test_pooled_branches_complete(self):
         for fidelity_in in (0.0, 0.3, 0.5, 0.8, 1.0):
             run = run_mixed(fidelity_in)
