@@ -25,7 +25,7 @@ from .states import (
     ion_fidelity,
     normalize,
 )
-from .elements import BeamSplitterId, DetectorPort, MirrorId, beam_splitter, detect, ion_interaction, mirror
+from .elements import DetectorPort, MirrorId, beam_splitter, detect, ion_interaction, mirror
 from .protocol import (
     ENTRY_LOWER_FORWARD,
     ENTRY_UPPER_BACKWARD,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisState",
-    "BeamSplitterId",
     "DetectorPort",
     "Direction",
     "ENTRY_LOWER_FORWARD",

@@ -58,7 +58,7 @@ _SUBCOMMANDS = {
     "monte-carlo": ("sampled recycling loop with standard errors", (*_AMPLITUDES, "trials", "seed", "max_passes")),
     "throughput": ("entangled pairs per second", ("preset",)),
     "sweep": ("scan one axis and emit one row per point", (
-        "sweep_scenario", "axis", "sweep_from", "sweep_to", "points", *_AMPLITUDES, "max_passes")),
+        "sweep_scenario", "axis", "sweep_from", "sweep_to", "points", *_AMPLITUDES)),
 }
 
 
@@ -95,39 +95,19 @@ def _dump_json(value) -> str:
             f"{json.dumps(str(key))}:{_dump_json(value[key])}" for key in sorted(value, key=str)
         )
         return "{" + ",".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return _dump_json(_jsonable(value))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def _pair_state(state: IonPairState | None) -> dict | None:
-    if state is None:
-        return None
-    return {
-        "c_pp": _complex_pair(state.c_pp),
-        "c_pm": _complex_pair(state.c_pm),
-        "c_mp": _complex_pair(state.c_mp),
-        "c_mm": _complex_pair(state.c_mm),
-    }
-
-
-def _single_ion(state: protocol.SingleIonState | None) -> dict | None:
-    if state is None:
-        return None
-    return {"c_plus": _complex_pair(state.c_plus), "c_minus": _complex_pair(state.c_minus)}
+def _jsonable(value) -> list | dict:
+    """A report value that is not JSON data as JSON data: a complex number as ``[re, im]``,
+    a result object such as an ion state as its fields by name."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return vars(value)
 
 
 def _iteration(result: recycler.IterationResult) -> dict:
-    return {
-        "p_entangled": result.p_entangled,
-        "p_scattered": result.p_scattered,
-        "p_stuck": result.p_stuck,
-        "p_truncated": result.p_truncated,
-        "post_entangled": _pair_state(result.post_entangled),
-        "passes_distribution": [[index, prob] for index, prob in sorted(result.passes_distribution.items())],
-    }
+    return {**vars(result), "passes_distribution": sorted(result.passes_distribution.items())}
 
 
 # --- scenario runners -------------------------------------------------------
@@ -152,12 +132,7 @@ def _run_single_pass(cfg: RunConfig) -> tuple[dict, list[str]]:
     run = protocol.run_product(u_plus, u_minus, l_plus, l_minus)
     result = run.result
     results = {
-        "inputs": {
-            "u_plus": _complex_pair(u_plus),
-            "u_minus": _complex_pair(u_minus),
-            "l_plus": _complex_pair(l_plus),
-            "l_minus": _complex_pair(l_minus),
-        },
+        "inputs": {"u_plus": u_plus, "u_minus": u_minus, "l_plus": l_plus, "l_minus": l_minus},
         "probabilities": {
             "scatter_u": result.p_scatter_u,
             "scatter_l": result.p_scatter_l,
@@ -166,10 +141,10 @@ def _run_single_pass(cfg: RunConfig) -> tuple[dict, list[str]]:
             "recycle": result.p_recycle,
         },
         "balanced": run.balanced,
-        "post_detect_upper": _pair_state(result.post_detect_upper),
-        "post_detect_lower": _pair_state(result.post_detect_lower),
-        "post_scatter_u": _single_ion(result.post_scatter_u),
-        "post_scatter_l": _single_ion(result.post_scatter_l),
+        "post_detect_upper": result.post_detect_upper,
+        "post_detect_lower": result.post_detect_lower,
+        "post_scatter_u": result.post_scatter_u,
+        "post_scatter_l": result.post_scatter_l,
         "fidelity_detect_lower_vs_psi_minus": run.fidelity_vs_psi_minus,
     }
     return results, []
@@ -235,8 +210,8 @@ def _run_monte_carlo(cfg: RunConfig) -> tuple[dict, list[str]]:
         "seed": sampled.seed,
         "frequencies": dict(sampled.frequencies),
         "standard_errors": dict(sampled.standard_errors),
-        "passes_distribution": [[index, freq] for index, freq in sorted(sampled.passes_distribution.items())],
-        "post_entangled": _pair_state(sampled.post_entangled),
+        "passes_distribution": sorted(sampled.passes_distribution.items()),
+        "post_entangled": sampled.post_entangled,
         "analytic": {
             "p_entangled": analytic.p_entangled,
             "p_scattered": analytic.p_scattered,
@@ -374,7 +349,6 @@ _RUNNERS = {
 
 
 _UNIT = (0, 1, "[0, 1]")
-_FORMATS = ("json", "csv", "table")
 
 
 def _key(default=None, flag=None, help=None, *, choices=None, within=None):
@@ -388,7 +362,7 @@ def _key(default=None, flag=None, help=None, *, choices=None, within=None):
 class RunConfig:
     """Fully resolved run parameters; echoed verbatim into every report.
 
-    Each field declares its key once: ``build_parser`` reads its flag, ``_validate`` its range.
+    Each field declares its key once: ``build_parser`` reads its flag, ``_validate`` its choices and range.
     """
 
     scenario: str
@@ -404,17 +378,17 @@ class RunConfig:
     seed: int = _key(0, "--seed")
     max_passes: int = _key(30, "--max-passes", within=(1, 4096))
     preset: str | None = _key(None, "--preset", choices=_PRESET_CHOICES)
-    format: str = _key("json", "--format", choices=_FORMATS)
+    format: str = _key("json", "--format", choices=("json", "csv", "table"))
     axis: str | None = _key(None, "--axis", choices=_SWEEP_AXES)
-    sweep_from: float | None = _key(None, "--from")
-    sweep_to: float | None = _key(None, "--to")
-    points: int | None = _key(None, "--points")
+    sweep_from: float | None = _key(None, "--from", within=_UNIT)
+    sweep_to: float | None = _key(None, "--to", within=_UNIT)
+    points: int | None = _key(None, "--points", within=(1, None))
     sweep_scenario: str | None = _key(None, "--scenario", choices=_SWEEPS)
     p_cav: float | None = _key(within=_UNIT)
     detector_efficiency: float | None = _key(within=_UNIT)
     outcoupling: float | None = _key(within=_UNIT)
     photon_rate: float | None = _key(within=(0, None))
-    protocol: str | None = None
+    protocol: str | None = _key(choices=tuple(_SOURCE_KEY))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -505,11 +479,16 @@ def _validate(cfg: RunConfig) -> None:
         if fixed:
             raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
     for f in fields(cfg):
-        value, within = getattr(cfg, f.name), f.metadata.get("within")
-        if value is None or within is None:
+        value, choices, within = getattr(cfg, f.name), f.metadata.get("choices"), f.metadata.get("within")
+        if value is None:
+            continue
+        label = (f.metadata.get("flag") or f.name).lstrip("-")
+        if choices is not None and value not in choices:
+            *others, last = choices
+            raise UsageError(f"{label} must be {', '.join(others)} or {last}")
+        if within is None:
             continue
         low, high, *interval = within
-        label = (f.metadata["flag"] or f.name).lstrip("-")
         if interval and not low <= value <= high:
             raise UsageError(f"{label} must lie in {interval[0]}")
         if value < low:
@@ -518,8 +497,6 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"{label} must be at most {high}")
     if cfg.b2 is not None and abs(cfg.a2 + cfg.b2 - 1.0) > 1e-9:
         raise UsageError("a2 and b2 must sum to 1")
-    if cfg.format not in _FORMATS:
-        raise UsageError("format must be json, csv or table")
     if cfg.format == "csv" and cfg.scenario != "sweep":
         raise UsageError("csv format is only available for sweep")
     if cfg.scenario == "sweep":
@@ -533,9 +510,6 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError("sweep needs at least 2 points")
         if cfg.points > 100_000:
             raise UsageError("sweep takes at most 100000 points")
-        for bound in (cfg.sweep_from, cfg.sweep_to):
-            if not 0.0 <= bound <= 1.0:
-                raise UsageError(f"{cfg.axis} must lie in [0, 1]")
         if cfg.axis == "fidelity" and cfg.sweep_scenario != "mixed":
             raise UsageError("axis fidelity needs --scenario mixed")
         if cfg.axis != "fidelity" and cfg.sweep_scenario == "mixed":
@@ -547,8 +521,6 @@ def _validate(cfg: RunConfig) -> None:
                 "throughput needs --preset or config keys p_cav, detector_efficiency, "
                 "photon_rate and protocol"
             )
-        if cfg.protocol not in _SOURCE_KEY:
-            raise UsageError("protocol must be mixed or product")
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -595,23 +567,20 @@ def _render_csv(report: dict) -> str:
 
 
 def _render_table(value, indent: str = "") -> list[str]:
+    """Indented lines of a dict or list; every non-scalar item nests, result objects as JSON data."""
     lines: list[str] = []
-    if isinstance(value, dict):
-        for key in sorted(value, key=str):
-            item = value[key]
-            if isinstance(item, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.extend(_render_table(item, indent + "  "))
-            else:
-                rendered = _format_float(item) if isinstance(item, float) else item
-                lines.append(f"{indent}{key}: {rendered}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.extend(_render_table(item, indent + "  "))
-            else:
-                rendered = _format_float(item) if isinstance(item, float) else item
-                lines.append(f"{indent}- {rendered}")
+    keyed = isinstance(value, dict)
+    for key in sorted(value, key=str) if keyed else range(len(value)):
+        item = value[key]
+        head = f"{indent}{key}:" if keyed else f"{indent}-"
+        if item is None or isinstance(item, (str, int, float)):
+            lines.append(f"{head} {_format_float(item) if isinstance(item, float) else item}")
+            continue
+        if keyed:
+            lines.append(head)
+        if not isinstance(item, (dict, list, tuple)):
+            item = _jsonable(item)
+        lines.extend(_render_table(item, indent + "  "))
     return lines
 
 

@@ -44,13 +44,6 @@ _ABSORBING_LEVEL = {
 }
 
 
-class BeamSplitterId(Enum):
-    """The two identical nonpolarizing 50-50 splitters."""
-
-    BS1 = "bs1"
-    BS2 = "bs2"
-
-
 class MirrorId(Enum):
     """The two enclosure mirrors and the stations they close off."""
 
@@ -100,16 +93,14 @@ _GROUND = LEVEL_INDEX[IonLevel.G]
 _SPLITTER, _ABSORPTION = _element_tables()
 
 
-def beam_splitter(state: PureState, splitter: BeamSplitterId) -> PureState:
+def beam_splitter(state: PureState) -> PureState:
     """Apply a 50-50 nonpolarizing splitter to every propagating term.
 
     An amplitude on one port splits evenly over both ports; the same-port
     component picks up the direction-dependent reflection phase.
     Polarization is untouched, and scattered or vacuum terms pass through.
-    Both splitters apply the identical map, so ``splitter`` only records
-    which crossing is meant.
+    Both splitters apply this identical map.
     """
-    del splitter  # identical optics at both crossings
     out: list[tuple[int, complex]] = []
     for index, amp in state.indexed_items():
         entry = _SPLITTER[index]

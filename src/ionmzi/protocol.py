@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import BeamSplitterId, beam_splitter, ion_interaction
+from .elements import beam_splitter, ion_interaction
 from .states import (
     MODE_INDEX,
     MODES,
@@ -138,17 +138,13 @@ def ion_pair_pure_state(ions: IonPairState, photon: PhotonMode | None = None) ->
     return PureState(indexed=((base + pair, amp) for pair, amp in zip(_METASTABLE_PAIRS, amps)))
 
 
-def propagate(state: PureState, entry: Entry = ENTRY_LOWER_FORWARD) -> PureState:
-    """Run the raw element sequence for one traversal, in path order."""
-    first, second = (
-        (BeamSplitterId.BS1, BeamSplitterId.BS2)
-        if entry[1] is Direction.FORWARD
-        else (BeamSplitterId.BS2, BeamSplitterId.BS1)
-    )
-    state = beam_splitter(state, first)
+def propagate(state: PureState) -> PureState:
+    """Run the raw element sequence for one traversal, in path order.  Both entries share it:
+    the photon's direction, carried in the state, picks each splitter's reflection phase."""
+    state = beam_splitter(state)
     state = ion_interaction(state, IonId.ION_U)
     state = ion_interaction(state, IonId.ION_L)
-    return beam_splitter(state, second)
+    return beam_splitter(state)
 
 
 def evolve_single_pass(
@@ -161,7 +157,7 @@ def evolve_single_pass(
         raise ValueError("photon must enter at a mirror-side port")
     port, direction = entry
     photon = PhotonMode.propagating(port, direction, photon_pol)
-    return propagate(ion_pair_pure_state(ions, photon), entry)
+    return propagate(ion_pair_pure_state(ions, photon))
 
 
 @dataclass(frozen=True)

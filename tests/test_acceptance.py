@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ionmzi.cli import main
-from ionmzi.elements import BeamSplitterId, DetectorPort, beam_splitter, detect
+from ionmzi.elements import DetectorPort, beam_splitter, detect
 from ionmzi.protocol import (
     IonPairState,
     bell_psi_minus,
@@ -51,7 +51,7 @@ def test_criterion_01_empty_interferometer_calibration():
     start = PureState({BasisState(photon, IonLevel.G, IonLevel.G): 1.0})
 
     def calibration() -> float:
-        out = beam_splitter(beam_splitter(start, BeamSplitterId.BS1), BeamSplitterId.BS2)
+        out = beam_splitter(beam_splitter(start))
         prob, _ = detect(out, DetectorPort.UPPER_OUT)
         return prob
 
@@ -255,7 +255,7 @@ def test_criterion_10_conservation_suite():
             amp = complex(rng.standard_normal(), rng.standard_normal())
             terms[BasisState(photon_pool[pick], ion_u, ion_l)] = amp
         state = PureState(terms)
-        out = beam_splitter(state, BeamSplitterId.BS1)
+        out = beam_splitter(state)
         assert abs(out.norm() - state.norm()) < 1e-12
 
     # traversal probability completeness and global-phase invariance

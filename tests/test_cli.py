@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from importlib import resources
 
@@ -145,6 +149,12 @@ class TestParseConfig:
                 None,
                 "sweep takes at most 100000 points",
             ),
+            (["iterate"], {"points": -5}, "points must be positive"),
+            (["iterate"], {"axis": "zzz"}, "axis must be a2, alpha2 or fidelity"),
+            (["iterate"], {"sweep_from": 7.0}, "from must lie in [0, 1]"),
+            (["iterate"], {"sweep_scenario": "nope"}, "scenario must be single_pass, iterate or mixed"),
+            (["iterate"], {"protocol": "none"}, "protocol must be mixed or product"),
+            (["throughput"], {"preset": "paper", "fidelity": 0.5}, "unknown preset: paper"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -396,3 +406,32 @@ class TestSchema:
         cfg = parse_config(["iterate", "--a2", "0.7"])
         expected = recycler.iterate_analytic(cli._product_ions(cfg)).p_entangled
         assert value == expected  # bit-exact serialization
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import contextlib, io
+from ionmzi.cli import main
+runs = [
+    ["single-pass", "--a2", "0.3"],
+    ["iterate", "--a2", "0.7"],
+    ["mixed", "--fidelity", "0.7"],
+    ["monte-carlo", "--a2", "0.5", "--trials", "200", "--seed", "1"],
+    ["throughput", "--preset", "paper-mixed"],
+    ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(codes, sorted(loaded - set(sys.stdlib_module_names) - {"ionmzi"}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a fresh interpreter: this process already holds numpy and jsonschema
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "[0, 0, 0, 0, 0, 0] []\n"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ionmzi.elements import (
-    BeamSplitterId,
     DetectorPort,
     MirrorId,
     beam_splitter,
@@ -55,30 +54,30 @@ def random_propagating_state(
 
 class TestBeamSplitter:
     def test_lower_input_splits_with_reflection_phase(self):
-        out = beam_splitter(photon_only(mode(Port.LOWER)), BeamSplitterId.BS1)
+        out = beam_splitter(photon_only(mode(Port.LOWER)))
         assert out.amplitude(ket(mode(Port.UPPER), M_M, M_M)) == pytest.approx(SQRT_HALF)
         assert out.amplitude(ket(mode(Port.LOWER), M_M, M_M)) == pytest.approx(1j * SQRT_HALF)
 
     def test_upper_input_splits_symmetrically(self):
-        out = beam_splitter(photon_only(mode(Port.UPPER)), BeamSplitterId.BS1)
+        out = beam_splitter(photon_only(mode(Port.UPPER)))
         assert out.amplitude(ket(mode(Port.LOWER), M_M, M_M)) == pytest.approx(SQRT_HALF)
         assert out.amplitude(ket(mode(Port.UPPER), M_M, M_M)) == pytest.approx(1j * SQRT_HALF)
 
     def test_backward_reflection_phase_conjugate(self):
-        out = beam_splitter(photon_only(mode(Port.LOWER, Direction.BACKWARD)), BeamSplitterId.BS2)
+        out = beam_splitter(photon_only(mode(Port.LOWER, Direction.BACKWARD)))
         assert out.amplitude(ket(mode(Port.LOWER, Direction.BACKWARD), M_M, M_M)) == pytest.approx(
             -1j * SQRT_HALF
         )
 
     def test_scattered_term_untouched(self):
         state = PureState({ket(PhotonMode.scattered(IonId.ION_U), G, M_P): 1.0})
-        assert beam_splitter(state, BeamSplitterId.BS1) == state
+        assert beam_splitter(state) == state
 
     def test_empty_interferometer_calibration(self):
         # two splitters in a row route the lower input to the upper port
         # with amplitude i: the upper detector fires with certainty
         out = beam_splitter(
-            beam_splitter(photon_only(mode(Port.LOWER)), BeamSplitterId.BS1), BeamSplitterId.BS2
+            beam_splitter(photon_only(mode(Port.LOWER)))
         )
         assert len(out) == 1
         assert out.amplitude(ket(mode(Port.UPPER), M_M, M_M)) == pytest.approx(1j, abs=1e-15)
@@ -87,7 +86,7 @@ class TestBeamSplitter:
         rng = np.random.default_rng(3)
         for _ in range(200):
             state = random_propagating_state(rng)
-            out = beam_splitter(state, BeamSplitterId.BS1)
+            out = beam_splitter(state)
             assert abs(out.norm() - state.norm()) < 1e-12
 
     def test_forward_then_backward_inverts(self):
@@ -108,8 +107,8 @@ class TestBeamSplitter:
         rng = np.random.default_rng(5)
         for _ in range(50):
             state = random_propagating_state(rng)
-            forward = beam_splitter(state, BeamSplitterId.BS1)
-            returned = flip(beam_splitter(flip(forward), BeamSplitterId.BS1))
+            forward = beam_splitter(state)
+            returned = flip(beam_splitter(flip(forward)))
             for basis, amp in state.items():
                 assert returned.amplitude(basis) == pytest.approx(amp, abs=1e-12)
 
@@ -128,8 +127,8 @@ class TestBeamSplitter:
 
         rng = np.random.default_rng(9)
         state = random_propagating_state(rng)
-        assert swap_pol(beam_splitter(state, BeamSplitterId.BS1)) == beam_splitter(
-            swap_pol(state), BeamSplitterId.BS1
+        assert swap_pol(beam_splitter(state)) == beam_splitter(
+            swap_pol(state)
         )
 
 
@@ -234,14 +233,14 @@ class TestDetect:
 
     def test_empty_interferometer_upper_certainty(self):
         state = beam_splitter(
-            beam_splitter(photon_only(mode(Port.LOWER)), BeamSplitterId.BS1), BeamSplitterId.BS2
+            beam_splitter(photon_only(mode(Port.LOWER)))
         )
         prob, _ = detect(state, DetectorPort.UPPER_OUT)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_no_support_rejected(self):
         state = beam_splitter(
-            beam_splitter(photon_only(mode(Port.LOWER)), BeamSplitterId.BS1), BeamSplitterId.BS2
+            beam_splitter(photon_only(mode(Port.LOWER)))
         )
         with pytest.raises(ValueError, match="no support at detector"):
             detect(state, DetectorPort.LOWER_OUT)

@@ -6,7 +6,6 @@ import pytest
 from ionmzi import recycler
 from ionmzi.elements import MirrorId, mirror
 from ionmzi.protocol import (
-    ENTRY_UPPER_BACKWARD,
     IonPairState,
     bell_phi_plus,
     bell_psi_minus,
@@ -195,7 +194,7 @@ class TestPhysicalLoopConsistency:
             if b.photon.kind is ModeKind.PROPAGATING and b.photon.port.value == "upper"
         )
         reflected = mirror(recycled, MirrorId.M2_RIGHT_UPPER)
-        backward = propagate(reflected, ENTRY_UPPER_BACKWARD)
+        backward = propagate(reflected)
 
         # detector for the backward traversal sits at the upper-left port
         upper_mass = sum(
