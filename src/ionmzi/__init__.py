@@ -47,7 +47,6 @@ from .protocol import (
 from .recycler import (
     IterationResult,
     MonteCarloResult,
-    RecycleConfig,
     iterate_analytic,
     iterate_numeric,
     monte_carlo,
@@ -87,7 +86,6 @@ __all__ = [
     "Port",
     "ProductPassResult",
     "PureState",
-    "RecycleConfig",
     "SingleIonState",
     "ThroughputReport",
     "beam_splitter",

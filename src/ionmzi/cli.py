@@ -18,11 +18,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus, ion_pair_pure_state
-from .recycler import RecycleConfig
 from .states import MixedState, ion_fidelity
 
 SCHEMA_VERSION = 1
@@ -153,7 +152,7 @@ def _run_single_pass(cfg: RunConfig) -> tuple[dict, list[str]]:
 def _run_iterate(cfg: RunConfig) -> tuple[dict, list[str]]:
     ions = _product_ions(cfg)
     analytic = recycler.iterate_analytic(ions)
-    numeric = recycler.iterate_numeric(ions, RecycleConfig(max_passes=cfg.max_passes))
+    numeric = recycler.iterate_numeric(ions, cfg.max_passes)
     results = {
         "analytic": _iteration(analytic),
         "numeric": _iteration(numeric),
@@ -173,13 +172,12 @@ def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
     iterated_scattered = 0.0
     iterated_stuck = 0.0
     numeric_entangled = 0.0
-    rounds = RecycleConfig(max_passes=cfg.max_passes)
     for weight, ions, _ in run.components:
         part = recycler.iterate_analytic(ions)
         iterated_entangled += weight * part.p_entangled
         iterated_scattered += weight * part.p_scattered
         iterated_stuck += weight * part.p_stuck
-        numeric_entangled += weight * recycler.iterate_numeric(ions, rounds).p_entangled
+        numeric_entangled += weight * recycler.iterate_numeric(ions, cfg.max_passes).p_entangled
     results = {
         "fidelity": cfg.fidelity,
         "single_pass": {
@@ -201,9 +199,7 @@ def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
 
 def _run_monte_carlo(cfg: RunConfig) -> tuple[dict, list[str]]:
     ions = _product_ions(cfg)
-    sampled = recycler.monte_carlo(
-        ions, cfg.trials, cfg.seed, RecycleConfig(max_passes=cfg.max_passes)
-    )
+    sampled = recycler.monte_carlo(ions, cfg.trials, cfg.seed, cfg.max_passes)
     analytic = recycler.iterate_analytic(ions)
     results = {
         "trials": sampled.trials,
@@ -376,7 +372,7 @@ class RunConfig:
     fidelity: float = _key(0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]"))
     trials: int = _key(100_000, "--trials", within=(1, 10_000_000))
     seed: int = _key(0, "--seed")
-    max_passes: int = _key(30, "--max-passes", within=(1, 4096))
+    max_passes: int = _key(recycler.MAX_PASSES, "--max-passes", within=(1, 4096))
     preset: str | None = _key(None, "--preset", choices=_PRESET_CHOICES)
     format: str = _key("json", "--format", choices=("json", "csv", "table"))
     axis: str | None = _key(None, "--axis", choices=_SWEEP_AXES)
@@ -391,7 +387,7 @@ class RunConfig:
     protocol: str | None = _key(choices=tuple(_SOURCE_KEY))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":

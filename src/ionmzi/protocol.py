@@ -268,8 +268,6 @@ def run_product(
     u_minus: complex,
     l_plus: complex,
     l_minus: complex,
-    photon_pol: Polarization = Polarization.SIGMA_PLUS,
-    entry: Entry = ENTRY_LOWER_FORWARD,
 ) -> ProductPassResult:
     """Single traversal for two independently prepared ions."""
     if abs(abs2(complex(u_plus)) + abs2(complex(u_minus)) - 1.0) > NORM_TOL:
@@ -277,7 +275,7 @@ def run_product(
     if abs(abs2(complex(l_plus)) + abs2(complex(l_minus)) - 1.0) > NORM_TOL:
         raise ValueError("lower-ion amplitudes must be normalized")
     ions = IonPairState.product(u_plus, u_minus, l_plus, l_minus)
-    result = single_pass(ions, photon_pol, entry)
+    result = single_pass(ions)
     balanced = (
         abs(abs(u_plus) - abs(l_plus)) <= NORM_TOL and abs(abs(u_minus) - abs(l_minus)) <= NORM_TOL
     )

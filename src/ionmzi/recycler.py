@@ -9,10 +9,10 @@ surviving q-weight itself quarters, so success converges geometrically
 to q/3.  The |m-,m-> component neither scatters nor fires the detector
 and survives every round ("stuck" weight).
 
-Both walkers stop at the pass budget ``max_passes`` (the numeric walk
-also once the weight that could still resolve is negligible); the weight
-still recycling then splits into its stuck |m-,m-> fraction and the
-truncated remainder.
+Both walkers stop at the pass budget ``max_passes`` (default
+``MAX_PASSES``; the numeric walk also once the weight that could still
+resolve falls below ``TRUNCATION_EPSILON``); the weight still recycling
+then splits into its stuck |m-,m-> fraction and the truncated remainder.
 """
 
 from __future__ import annotations
@@ -24,20 +24,10 @@ from .protocol import IonPairState, single_pass
 from .states import abs2
 
 
-@dataclass(frozen=True)
-class RecycleConfig:
-    """Loop bounds for the numeric and Monte Carlo evaluations.
-
-    ``max_passes`` 30 leaves the truncated weight (one quarter per round)
-    far below floating noise.
-    """
-
-    max_passes: int = 30
-    truncation_epsilon: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
+#: Default pass budget: the truncated weight (one quarter per round) ends far below floating noise.
+MAX_PASSES = 30
+#: The numeric walk stops once the weight that could still resolve falls below this.
+TRUNCATION_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,26 +78,26 @@ def iterate_analytic(ions: IonPairState) -> IterationResult:
     )
 
 
-def iterate_numeric(ions: IonPairState, config: RecycleConfig | None = None) -> IterationResult:
+def iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> IterationResult:
     """Explicit round-by-round propagation of the recycling loop.
 
     Applies :func:`ionmzi.protocol.single_pass` to the renormalized
     recycle branch each round, accumulating absolute branch masses.
-    Stops at the pass budget or once the weight that could still resolve
-    falls below ``truncation_epsilon``; whatever recycled weight is not
-    asymptotically stuck is reported as truncated.
+    Stops after ``max_passes`` rounds (``MAX_PASSES`` by default) or once
+    the weight that could still resolve falls below ``TRUNCATION_EPSILON``;
+    whatever recycled weight is not asymptotically stuck is reported as
+    truncated.
     """
-    cfg = config if config is not None else RecycleConfig()
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
     weight = 1.0
     state: IonPairState | None = ions
     p_entangled = 0.0
     p_scattered = 0.0
     post: IonPairState | None = None
     distribution: dict[int, float] = {}
-    rounds = 0
-    while rounds < cfg.max_passes and state is not None:
+    for rounds in range(1, max_passes + 1):
         result = single_pass(state, enclosed=True)
-        rounds += 1
         detected = weight * result.p_detect_lower
         if detected > 0.0:
             distribution[rounds] = detected
@@ -118,10 +108,9 @@ def iterate_numeric(ions: IonPairState, config: RecycleConfig | None = None) -> 
         weight *= result.p_recycle
         state = result.post_recycle
         if state is None or weight <= 0.0:
-            weight = 0.0
             state = None
             break
-        if weight * (1.0 - abs2(state.c_mm)) < cfg.truncation_epsilon:
+        if weight * (1.0 - abs2(state.c_mm)) < TRUNCATION_EPSILON:
             break
     if state is None:
         p_stuck = 0.0
@@ -193,22 +182,21 @@ class MonteCarloResult:
         return self.frequencies["truncated"]
 
 
-def monte_carlo(
-    ions: IonPairState, trials: int, seed: int, config: RecycleConfig | None = None
-) -> MonteCarloResult:
+def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MAX_PASSES) -> MonteCarloResult:
     """Sample the recycling loop outcome trial by trial.
 
     Each trial walks the rounds, drawing the branch from the exact
     per-round probabilities; the recycled ion state follows one
     deterministic sequence, so the branch thresholds are tabulated once,
-    as the first trial reaches each round.  A trial still recycling at
-    the pass budget (or entering a round with no state left) resolves
+    as the first trial reaches each round.  A trial still recycling after
+    ``max_passes`` rounds (or entering a round with no state left) resolves
     against the stuck fraction of its current state, which is zero
     without a state.  Deterministic for fixed (seed, trials).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    cfg = config if config is not None else RecycleConfig()
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
 
     # Per-round cumulative thresholds (scatter, +detect) and the state entering each round.
     states: list[IonPairState | None] = [ions]
@@ -223,7 +211,7 @@ def monte_carlo(
             current = states[rounds]
             stream = (stream + _GOLDEN) & _MASK
             draw = (_mix64(stream) >> 11) * _INV_2_53
-            if current is None or rounds >= cfg.max_passes:
+            if current is None or rounds >= max_passes:
                 stuck = abs2(current.c_mm) if current is not None else 0.0
                 counts["stuck" if draw < stuck else "truncated"] += 1
                 break

@@ -22,7 +22,7 @@ from ionmzi.protocol import (
     run_mixed,
     single_pass,
 )
-from ionmzi.recycler import RecycleConfig, iterate_analytic, iterate_numeric, monte_carlo
+from ionmzi.recycler import iterate_analytic, iterate_numeric, monte_carlo
 from ionmzi.states import (
     Direction,
     IonLevel,
@@ -121,7 +121,7 @@ def test_criterion_04_iterated_totals():
     assert matched.p_entangled == pytest.approx(0.14, abs=1e-12)
     assert matched.p_entangled == pytest.approx(2.0 / 3.0 * 0.7 * 0.3, abs=1e-12)
 
-    numeric = iterate_numeric(balanced_product(0.7), RecycleConfig(max_passes=30))
+    numeric = iterate_numeric(balanced_product(0.7), max_passes=30)
     assert abs(numeric.p_entangled - matched.p_entangled) < 1e-10
     assert abs(numeric.p_scattered - matched.p_scattered) < 1e-10
     assert abs(numeric.p_stuck - matched.p_stuck) < 1e-10

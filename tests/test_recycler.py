@@ -16,7 +16,6 @@ from ionmzi.protocol import (
     single_pass,
 )
 from ionmzi.recycler import (
-    RecycleConfig,
     iterate_analytic,
     iterate_numeric,
     monte_carlo,
@@ -79,7 +78,7 @@ class TestIterateNumeric:
         for _ in range(20):
             ions = random_ion_pair(rng)
             analytic = iterate_analytic(ions)
-            numeric = iterate_numeric(ions, RecycleConfig(max_passes=30))
+            numeric = iterate_numeric(ions, max_passes=30)
             assert abs(numeric.p_entangled - analytic.p_entangled) < 1e-10
             assert abs(numeric.p_scattered - analytic.p_scattered) < 1e-10
             assert abs(numeric.p_stuck - analytic.p_stuck) < 1e-10
@@ -88,16 +87,14 @@ class TestIterateNumeric:
         ions = balanced_product(0.6)
         analytic = iterate_analytic(ions)
         for max_passes in range(1, 13):
-            numeric = iterate_numeric(
-                ions, RecycleConfig(max_passes=max_passes, truncation_epsilon=0.0)
-            )
+            numeric = iterate_numeric(ions, max_passes=max_passes)
             delta = abs(numeric.p_entangled - analytic.p_entangled)
             assert delta <= 2.0 * 4.0 ** -max_passes + 1e-12
 
     def test_single_round_matches_single_pass(self):
         ions = balanced_product(0.7)
         result = single_pass(ions, enclosed=True)
-        numeric = iterate_numeric(ions, RecycleConfig(max_passes=1, truncation_epsilon=0.0))
+        numeric = iterate_numeric(ions, max_passes=1)
         assert numeric.p_entangled == pytest.approx(result.p_detect_lower, abs=1e-15)
         assert numeric.p_scattered == pytest.approx(
             result.p_scatter_u + result.p_scatter_l, abs=1e-15
@@ -159,8 +156,8 @@ class TestIterateNumeric:
 
     def test_reinject_leaves_nothing_truncated(self):
         ions = balanced_product(0.7)
-        # A budget deep enough that the resolvable weight falls below truncation_epsilon first.
-        result = iterate_numeric(ions, RecycleConfig(max_passes=4096))
+        # A budget deep enough that the resolvable weight falls below TRUNCATION_EPSILON first.
+        result = iterate_numeric(ions, max_passes=4096)
         analytic = iterate_analytic(ions)
         assert result.p_truncated <= 1e-12
         assert result.p_entangled == pytest.approx(analytic.p_entangled, abs=1e-10)
@@ -168,16 +165,17 @@ class TestIterateNumeric:
 
     def test_stop_reports_unresolved_mass(self):
         ions = balanced_product(0.7)
-        result = iterate_numeric(
-            ions, RecycleConfig(max_passes=2, truncation_epsilon=0.0)
-        )
+        result = iterate_numeric(ions, max_passes=2)
         q = 2.0 * 0.7 * 0.3
         assert result.p_truncated == pytest.approx(q / 16.0, abs=1e-12)
         assert result.p_stuck == pytest.approx(0.09, abs=1e-12)
 
     def test_bad_config_rejected(self):
+        ions = balanced_product(0.7)
         with pytest.raises(ValueError, match="max_passes"):
-            RecycleConfig(max_passes=0)
+            iterate_numeric(ions, max_passes=0)
+        with pytest.raises(ValueError, match="max_passes"):
+            monte_carlo(ions, 10, seed=1, max_passes=0)
 
 
 class TestPhysicalLoopConsistency:
@@ -283,7 +281,7 @@ class TestMonteCarlo:
             return single_pass(*args, **kwargs)
 
         monkeypatch.setattr(recycler, "single_pass", counting)
-        result = monte_carlo(balanced_product(0.03), 500, seed=7, config=RecycleConfig(max_passes=max_passes))
+        result = monte_carlo(balanced_product(0.03), 500, seed=7, max_passes=max_passes)
         assert result.counts["stuck"] + result.counts["truncated"] > 0  # some trials reach the budget
         assert len(calls) == max_passes
         counts, distribution = self.BUDGET_OUTCOMES[max_passes]
