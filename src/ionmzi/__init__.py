@@ -25,7 +25,7 @@ from .states import (
     ion_fidelity,
     normalize,
 )
-from .elements import DetectorPort, MirrorId, beam_splitter, detect, ion_interaction, mirror
+from .elements import MirrorId, beam_splitter, detect, ion_interaction, mirror
 from .protocol import (
     ENTRY_LOWER_FORWARD,
     ENTRY_UPPER_BACKWARD,
@@ -52,7 +52,6 @@ from .recycler import (
     monte_carlo,
 )
 from .efficiency import (
-    EfficiencyParams,
     ThroughputReport,
     cavity_decay_rate,
     cavity_emission_probability,
@@ -66,11 +65,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisState",
-    "DetectorPort",
     "Direction",
     "ENTRY_LOWER_FORWARD",
     "ENTRY_UPPER_BACKWARD",
-    "EfficiencyParams",
     "IonId",
     "IonLevel",
     "IonPairState",

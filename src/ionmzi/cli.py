@@ -270,24 +270,22 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
         )
     source_key = _SOURCE_KEY[cfg.protocol][0]
     value = getattr(cfg, source_key)
-    params = efficiency.EfficiencyParams(
-        finesse=reference["finesse"].value,
-        cavity_length=reference["cavity_length"].value,
-        wavelength=reference["wavelength"].value,
+    outcoupling = cfg.outcoupling if cfg.outcoupling is not None else 1.0
+    report = efficiency.throughput(
+        _p_protocol(cfg.protocol, value),
+        p_cav=cfg.p_cav,
         detector_efficiency=cfg.detector_efficiency,
         photon_rate=cfg.photon_rate,
-        outcoupling=cfg.outcoupling if cfg.outcoupling is not None else 1.0,
-        p_cav=cfg.p_cav,
+        outcoupling=outcoupling,
     )
-    report = efficiency.throughput(_p_protocol(cfg.protocol, value), params)
     results = {
         "preset": cfg.preset,
         "source": {"protocol": cfg.protocol, source_key: value},
         "p_protocol": report.p_protocol,
         "p_cav": report.p_cav,
-        "detector_efficiency": params.detector_efficiency,
-        "outcoupling": params.outcoupling,
-        "photon_rate": params.photon_rate,
+        "detector_efficiency": cfg.detector_efficiency,
+        "outcoupling": outcoupling,
+        "photon_rate": cfg.photon_rate,
         "p_total": report.p_total,
         "pairs_per_second": report.pairs_per_second,
     }
@@ -572,8 +570,7 @@ def _render_table(value, indent: str = "") -> list[str]:
         if item is None or isinstance(item, (str, int, float)):
             lines.append(f"{head} {_format_float(item) if isinstance(item, float) else item}")
             continue
-        if keyed:
-            lines.append(head)
+        lines.append(head)
         if not isinstance(item, (dict, list, tuple)):
             item = _jsonable(item)
         lines.extend(_render_table(item, indent + "  "))

@@ -5,8 +5,9 @@ operating-point constants in :data:`REFERENCE_POINT`: the reported decay
 rate for the reference cavity (9.9e6/s) disagrees with what
 ``4*pi*c/(finesse*length)`` gives for the same inputs (6.609e7/s), and
 the reported emission probability 0.01 cannot be rederived without a
-dipole element and loss rate, which have no published values here.  Both
-sides are exposed, labeled, and never reconciled or defaulted.
+dipole element and loss rate, which have no published values here, so
+:func:`throughput` takes it as given.  Both sides are exposed, labeled,
+and never reconciled or defaulted.
 """
 
 from __future__ import annotations
@@ -128,39 +129,6 @@ def cavity_emission_probability(cavity_decay: float, coupling: float, loss_rate:
 
 
 @dataclass(frozen=True)
-class EfficiencyParams:
-    """Physical inputs of the throughput model.
-
-    Either give ``p_cav`` directly as an operating point, or give the
-    dipole moment and non-cavity loss rate so it can be evaluated from
-    the cavity formulas.  Neither has a default: no physical constant is
-    invented here.
-    """
-
-    finesse: float
-    cavity_length: float
-    wavelength: float
-    detector_efficiency: float
-    photon_rate: float
-    outcoupling: float = 1.0
-    dipole_moment: float | None = None
-    loss_rate: float | None = None
-    p_cav: float | None = None
-
-    def __post_init__(self) -> None:
-        if min(self.finesse, self.cavity_length, self.wavelength) <= 0.0:
-            raise ValueError("finesse, cavity_length and wavelength must be positive")
-        if self.photon_rate < 0.0:
-            raise ValueError("photon_rate must be nonnegative")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError("detector_efficiency must lie in [0, 1]")
-        if not 0.0 <= self.outcoupling <= 1.0:
-            raise ValueError("outcoupling must lie in [0, 1]")
-        if self.p_cav is not None and not 0.0 <= self.p_cav <= 1.0:
-            raise ValueError("p_cav must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ThroughputReport:
     """End-to-end success probability and entangled-pair rate."""
 
@@ -170,24 +138,28 @@ class ThroughputReport:
     pairs_per_second: float
 
 
-def throughput(p_protocol: float, params: EfficiencyParams) -> ThroughputReport:
-    """Pairs per second: p_protocol * p_cav * detector efficiency * outcoupling * rate."""
-    if not 0.0 <= p_protocol <= 1.0:
-        raise ValueError("p_protocol must lie in [0, 1]")
-    if params.p_cav is not None:
-        p_cav = params.p_cav
-    else:
-        if params.dipole_moment is None or params.loss_rate is None:
-            raise ValueError("need either p_cav or both dipole_moment and loss_rate")
-        p_cav = cavity_emission_probability(
-            cavity_decay_rate(params.finesse, params.cavity_length),
-            coupling_constant(params.dipole_moment, params.wavelength, params.cavity_length),
-            params.loss_rate,
-        )
-    p_total = p_protocol * p_cav * params.detector_efficiency * params.outcoupling
+def throughput(
+    p_protocol: float, *, p_cav: float, detector_efficiency: float, photon_rate: float, outcoupling: float = 1.0
+) -> ThroughputReport:
+    """Pairs per second: p_protocol * p_cav * detector efficiency * outcoupling * rate.
+
+    ``p_cav`` is given: the quoted operating point, or the cavity formulas composed as
+    ``cavity_emission_probability(cavity_decay_rate(...), coupling_constant(...), loss_rate)``.
+    """
+    for name, value in (
+        ("p_protocol", p_protocol),
+        ("p_cav", p_cav),
+        ("detector_efficiency", detector_efficiency),
+        ("outcoupling", outcoupling),
+    ):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    if not photon_rate >= 0.0:
+        raise ValueError("photon_rate must be nonnegative")
+    p_total = p_protocol * p_cav * detector_efficiency * outcoupling
     return ThroughputReport(
         p_protocol=p_protocol,
         p_cav=p_cav,
         p_total=p_total,
-        pairs_per_second=p_total * params.photon_rate,
+        pairs_per_second=p_total * photon_rate,
     )

@@ -51,18 +51,11 @@ class MirrorId(Enum):
     M2_RIGHT_UPPER = "m2_right_upper"
 
 
-class DetectorPort(Enum):
-    UPPER_OUT = "upper_out"
-    LOWER_OUT = "lower_out"
-
-
 # port the mirror sits on, and the outgoing direction it faces
 _MIRROR_STATION = {
     MirrorId.M1_LEFT_LOWER: (Port.LOWER, Direction.BACKWARD),
     MirrorId.M2_RIGHT_UPPER: (Port.UPPER, Direction.FORWARD),
 }
-
-_DETECTOR_PORT = {DetectorPort.UPPER_OUT: Port.UPPER, DetectorPort.LOWER_OUT: Port.LOWER}
 
 
 def _element_tables() -> tuple[list, dict[IonId, list[int]]]:
@@ -156,19 +149,18 @@ def mirror(state: PureState, at: MirrorId) -> PureState:
     return PureState(indexed=out)
 
 
-def detect(state: PureState, port: DetectorPort) -> tuple[float, PureState]:
+def detect(state: PureState, port: Port) -> tuple[float, PureState]:
     """Project onto the photon leaving through one output port.
 
     Returns the click probability and the normalized post-detection state
     with the photon consumed (set to vacuum).  ``state`` is assumed
     normalized; scattered terms never reach the detectors.
     """
-    want = _DETECTOR_PORT[port]
     vacuum = PAIRS * MODE_INDEX[PhotonMode.vacuum()]
     picked = [
         (vacuum + index % PAIRS, amp)
         for index, amp in state.indexed_items()
-        if MODES[index // PAIRS].port is want
+        if MODES[index // PAIRS].port is port
     ]
     prob = sum(abs2(amp) for _, amp in picked)
     if prob < 1e-12:

@@ -67,7 +67,7 @@ class IonPairState:
     def __post_init__(self) -> None:
         for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if abs(self.norm_squared() - 1.0) > NORM_TOL:
+        if not abs(self.norm_squared() - 1.0) <= NORM_TOL:
             raise ValueError("ion-pair amplitudes must be normalized")
 
     @classmethod
@@ -270,9 +270,9 @@ def run_product(
     l_minus: complex,
 ) -> ProductPassResult:
     """Single traversal for two independently prepared ions."""
-    if abs(abs2(complex(u_plus)) + abs2(complex(u_minus)) - 1.0) > NORM_TOL:
+    if not abs(abs2(complex(u_plus)) + abs2(complex(u_minus)) - 1.0) <= NORM_TOL:
         raise ValueError("upper-ion amplitudes must be normalized")
-    if abs(abs2(complex(l_plus)) + abs2(complex(l_minus)) - 1.0) > NORM_TOL:
+    if not abs(abs2(complex(l_plus)) + abs2(complex(l_minus)) - 1.0) <= NORM_TOL:
         raise ValueError("lower-ion amplitudes must be normalized")
     ions = IonPairState.product(u_plus, u_minus, l_plus, l_minus)
     result = single_pass(ions)

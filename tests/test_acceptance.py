@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ionmzi.cli import main
-from ionmzi.elements import DetectorPort, beam_splitter, detect
+from ionmzi.elements import beam_splitter, detect
 from ionmzi.protocol import (
     IonPairState,
     bell_psi_minus,
@@ -52,7 +52,7 @@ def test_criterion_01_empty_interferometer_calibration():
 
     def calibration() -> float:
         out = beam_splitter(beam_splitter(start))
-        prob, _ = detect(out, DetectorPort.UPPER_OUT)
+        prob, _ = detect(out, Port.UPPER)
         return prob
 
     calibration()  # warm up

@@ -6,7 +6,6 @@ import pytest
 from ionmzi.efficiency import (
     REFERENCE_POINT,
     SPEED_OF_LIGHT,
-    EfficiencyParams,
     cavity_decay_rate,
     cavity_emission_probability,
     cavity_mode_volume,
@@ -16,17 +15,15 @@ from ionmzi.efficiency import (
 )
 
 
-def reference_params(**overrides) -> EfficiencyParams:
+def reference_params(**overrides) -> dict:
+    """Keyword values of the reference operating point, for ``throughput(p, **reference_params())``."""
     values = dict(
-        finesse=REFERENCE_POINT["finesse"].value,
-        cavity_length=REFERENCE_POINT["cavity_length"].value,
-        wavelength=REFERENCE_POINT["wavelength"].value,
         detector_efficiency=REFERENCE_POINT["detector_efficiency"].value,
         photon_rate=REFERENCE_POINT["photon_rate"].value,
         p_cav=REFERENCE_POINT["emission_probability_quoted"].value,
     )
     values.update(overrides)
-    return EfficiencyParams(**values)
+    return values
 
 
 class TestCavityDecayRate:
@@ -107,7 +104,7 @@ class TestEmissionProbability:
 class TestThroughput:
     def test_mixed_reference_point(self):
         p_protocol = 0.7 / 3.0
-        report = throughput(p_protocol, reference_params())
+        report = throughput(p_protocol, **reference_params())
         assert report.pairs_per_second == pytest.approx(
             p_protocol * 0.01 * 0.7 * 5000.0, abs=1e-9
         )
@@ -115,44 +112,52 @@ class TestThroughput:
 
     def test_product_reference_point(self):
         p_protocol = 2.0 / 3.0 * 0.7 * 0.3
-        report = throughput(p_protocol, reference_params())
+        report = throughput(p_protocol, **reference_params())
         assert report.pairs_per_second == pytest.approx(4.90, abs=0.01)
 
     def test_total_factorizes(self):
-        report = throughput(0.2, reference_params(outcoupling=0.9))
+        report = throughput(0.2, **reference_params(outcoupling=0.9))
         assert report.p_total == pytest.approx(0.2 * 0.01 * 0.7 * 0.9, abs=1e-15)
 
     def test_zero_rate(self):
-        report = throughput(0.2, reference_params(photon_rate=0.0))
+        report = throughput(0.2, **reference_params(photon_rate=0.0))
         assert report.pairs_per_second == 0.0
 
     def test_monotone_in_each_factor(self):
-        base = throughput(0.2, reference_params()).pairs_per_second
-        assert throughput(0.3, reference_params()).pairs_per_second >= base
-        assert throughput(0.2, reference_params(p_cav=0.02)).pairs_per_second >= base
-        assert throughput(0.2, reference_params(detector_efficiency=0.9)).pairs_per_second >= base
-        assert throughput(0.2, reference_params(photon_rate=9000.0)).pairs_per_second >= base
+        base = throughput(0.2, **reference_params()).pairs_per_second
+        assert throughput(0.3, **reference_params()).pairs_per_second >= base
+        assert throughput(0.2, **reference_params(p_cav=0.02)).pairs_per_second >= base
+        assert throughput(0.2, **reference_params(detector_efficiency=0.9)).pairs_per_second >= base
+        assert throughput(0.2, **reference_params(photon_rate=9000.0)).pairs_per_second >= base
 
     def test_formula_chain_when_no_operating_point(self):
-        params = reference_params(p_cav=None, dipole_moment=1e-29, loss_rate=1e7)
-        report = throughput(0.2, params)
-        expected = cavity_emission_probability(
-            cavity_decay_rate(params.finesse, params.cavity_length),
-            coupling_constant(params.dipole_moment, params.wavelength, params.cavity_length),
-            params.loss_rate,
+        finesse = REFERENCE_POINT["finesse"].value
+        length = REFERENCE_POINT["cavity_length"].value
+        wavelength = REFERENCE_POINT["wavelength"].value
+        p_cav = cavity_emission_probability(
+            cavity_decay_rate(finesse, length), coupling_constant(1e-29, wavelength, length), 1e7
         )
-        assert report.p_cav == pytest.approx(expected, rel=1e-12)
-
-    def test_missing_physical_inputs_rejected(self):
-        with pytest.raises(ValueError, match="p_cav or both"):
-            throughput(0.2, reference_params(p_cav=None))
+        report = throughput(0.2, **reference_params(p_cav=p_cav))
+        assert report.p_cav == p_cav
+        assert report.p_total == pytest.approx(0.2 * p_cav * 0.7, rel=1e-12)
 
     def test_p_protocol_bounds(self):
         with pytest.raises(ValueError):
-            throughput(1.2, reference_params())
+            throughput(1.2, **reference_params())
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            reference_params(detector_efficiency=1.5)
-        with pytest.raises(ValueError):
-            reference_params(finesse=-1.0)
+            throughput(0.2, **reference_params(detector_efficiency=1.5))
+        for key in ("p_cav", "detector_efficiency", "outcoupling"):
+            for bad in (-0.1, 1.5, math.nan):
+                with pytest.raises(ValueError, match=rf"{key} must lie in \[0, 1\]"):
+                    throughput(0.2, **reference_params(**{key: bad}))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="photon_rate must be nonnegative"):
+                throughput(0.2, **reference_params(photon_rate=bad))
+        with pytest.raises(ValueError, match="p_protocol must lie in"):
+            throughput(math.nan, **reference_params())
+
+    def test_operating_point_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            throughput(0.2, 0.01, 0.7, 5000.0)

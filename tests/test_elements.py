@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ionmzi.elements import (
-    DetectorPort,
     MirrorId,
     beam_splitter,
     detect,
@@ -209,7 +208,7 @@ class TestDetect:
 
     def test_lower_port_probability_and_post_state(self):
         alpha = beta = a = b = SQRT_HALF
-        prob, post = detect(self.eq4_output(alpha, beta, a, b), DetectorPort.LOWER_OUT)
+        prob, post = detect(self.eq4_output(alpha, beta, a, b), Port.LOWER)
         assert prob == pytest.approx(0.125, abs=1e-12)
         vac = PhotonMode.vacuum()
         assert post.amplitude(BasisState(vac, M_M, M_P)) == pytest.approx(SQRT_HALF, abs=1e-12)
@@ -228,14 +227,14 @@ class TestDetect:
             expected = 0.25 * (abs(beta * a) ** 2 + abs(alpha * b) ** 2)
             if expected < 1e-9:
                 continue
-            prob, _ = detect(self.eq4_output(alpha, beta, a, b), DetectorPort.LOWER_OUT)
+            prob, _ = detect(self.eq4_output(alpha, beta, a, b), Port.LOWER)
             assert prob == pytest.approx(expected, abs=1e-12)
 
     def test_empty_interferometer_upper_certainty(self):
         state = beam_splitter(
             beam_splitter(photon_only(mode(Port.LOWER)))
         )
-        prob, _ = detect(state, DetectorPort.UPPER_OUT)
+        prob, _ = detect(state, Port.UPPER)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
     def test_no_support_rejected(self):
@@ -243,7 +242,7 @@ class TestDetect:
             beam_splitter(photon_only(mode(Port.LOWER)))
         )
         with pytest.raises(ValueError, match="no support at detector"):
-            detect(state, DetectorPort.LOWER_OUT)
+            detect(state, Port.LOWER)
 
     def test_scattered_terms_never_click(self):
         tangled = PureState(
@@ -252,7 +251,7 @@ class TestDetect:
                 ket(PhotonMode.scattered(IonId.ION_U), G, M_P): SQRT_HALF,
             }
         )
-        prob, post = detect(tangled, DetectorPort.UPPER_OUT)
+        prob, post = detect(tangled, Port.UPPER)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert all(b.photon.kind is ModeKind.VACUUM for b, _ in post.items())
 
@@ -264,7 +263,7 @@ class TestDetect:
         for _ in range(25):
             final = evolve_single_pass(random_ion_pair(rng))
             total = 0.0
-            for port in DetectorPort:
+            for port in Port:
                 try:
                     prob, _ = detect(final, port)
                 except ValueError:

@@ -50,6 +50,7 @@ CASES = {
     "single_pass_phased": (_PHASED, None),
     "single_pass_phased_table": ([*_PHASED, "--format", "table"], None),
     "iterate_max_passes_5": (["iterate", "--a2", "0.7", "--max-passes", "5"], None),
+    "iterate_max_passes_5_table": (["iterate", "--a2", "0.7", "--max-passes", "5", "--format", "table"], None),
     "iterate_default": (["iterate", "--a2", "0.7"], None),
     "mixed": (["mixed", "--fidelity", "0.7"], None),
     "monte_carlo_a2_003": (["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7"], None),
@@ -64,6 +65,7 @@ CASES = {
     "sweep_alpha2_json": ([*_SWEEP_ALPHA2, "--format", "json"], None),
     "sweep_fidelity_csv": (_SWEEP_FIDELITY, None),
     "sweep_fidelity_json": ([*_SWEEP_FIDELITY, "--format", "json"], None),
+    "sweep_fidelity_table": ([*_SWEEP_FIDELITY, "--format", "table"], None),
 }
 
 

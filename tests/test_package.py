@@ -4,11 +4,13 @@ import contextlib
 import io
 import pathlib
 import re
+import shlex
 import types
 
 import pytest
 
 import ionmzi
+from ionmzi import cli
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -37,3 +39,12 @@ def test_readme_library_example_prints_its_comments():
     printed = [float(line) for line in out.getvalue().splitlines()]
     assert expected and len(printed) == len(expected)
     assert printed == pytest.approx(expected, abs=1e-12)
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("ionmzi ")]
+    assert commands
+    for argv in commands:
+        cli.parse_config(argv[1:])

@@ -44,6 +44,11 @@ class TestIonPairState:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             IonPairState(c_pp=1.0, c_mm=1.0)
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="normalized"):
+                IonPairState(c_pp=bad)
+            with pytest.raises(ValueError, match="normalized"):
+                IonPairState.from_unnormalized(c_pp=bad, c_mm=1.0)
 
     def test_from_unnormalized(self):
         state = IonPairState.from_unnormalized(c_pm=3.0, c_mp=4.0)
@@ -238,6 +243,11 @@ class TestRunProduct:
     def test_unnormalized_inputs_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             run_product(1.0, 1.0, SQRT_HALF, SQRT_HALF)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="upper-ion amplitudes must be normalized"):
+                run_product(bad, 1.0, 1.0, 0.0)
+            with pytest.raises(ValueError, match="lower-ion amplitudes must be normalized"):
+                run_product(1.0, 0.0, 0.0, bad)
 
     def test_balanced_moduli_with_phases_still_balanced(self):
         phase = cmath.exp(0.9j)
