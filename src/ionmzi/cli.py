@@ -24,31 +24,42 @@ from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus, ion_pair_pure_state
 from .states import MixedState, ion_fidelity
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_NAME = "ionmzi"
 
 _SWEEP_AXES = ("a2", "alpha2", "fidelity")
-#: Throughput protocol -> (config key of its source value, REFERENCE_POINT key of a preset's).
-_SOURCE_KEY = {"mixed": ("fidelity", "input_fidelity"), "product": ("a2", "plus_population")}
-#: Config keys a throughput preset fixes.  A config may give them only at their
-#: RunConfig defaults, which every preset's report echoes, so an echo re-runs.
-_PRESET_FIXES = ("a2", "b2", "fidelity", "p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
-#: Throughput preset -> (protocol, notes).
+#: Throughput protocol -> the config key of its source value.
+_SOURCE_KEY = {"mixed": "fidelity", "product": "a2"}
+#: Config keys a throughput preset fixes: each resolves to the preset's value, or to its
+#: RunConfig default where the preset sets none.  A config may give one only at that value,
+#: which the report echoes, so an echo re-runs.
+_PRESET_FIXES = ("a2", "fidelity", "p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
+_REFERENCE = efficiency.REFERENCE_POINT
+_OPERATING_POINT = {
+    "p_cav": _REFERENCE["emission_probability_quoted"].value,
+    "detector_efficiency": _REFERENCE["detector_efficiency"].value,
+    "photon_rate": _REFERENCE["photon_rate"].value,
+}
+#: Throughput preset -> (the fixed keys it sets, notes).  ``paper-cavity`` reports the
+#: cavity formulas instead of a throughput, so it sets none.
 _PRESETS = {
-    "paper-mixed": ("mixed", (
+    "paper-mixed": ({"protocol": "mixed", "fidelity": _REFERENCE["input_fidelity"].value, **_OPERATING_POINT}, (
         "reference operating point: mixed input with fidelity 0.7, p_cav 0.01, "
         "detector efficiency 0.7, unit outcoupling, 5000 photons/s",
         "the published claim rounds 8.17 pairs/s to eight pairs per second",
     )),
-    "paper-product": ("product", (
+    "paper-product": ({"protocol": "product", "a2": _REFERENCE["plus_population"].value, **_OPERATING_POINT}, (
         "reference operating point: matched product input with m+ population 0.7, "
         "p_cav 0.01, detector efficiency 0.7, unit outcoupling, 5000 photons/s",
         "the published claim rounds 4.90 pairs/s to five pairs per second",
     )),
+    "paper-cavity": ({}, (
+        "the evaluated decay-rate formula (6.609e7/s) and the quoted reference "
+        "value (9.9e6/s) disagree for the same finesse and length; both are "
+        "reported and neither is adjusted",
+    )),
 }
-#: Every --preset; ``paper-cavity`` reports the cavity formulas instead of a throughput.
-_PRESET_CHOICES = (*_PRESETS, "paper-cavity")
-_AMPLITUDES = ("a2", "b2", "alpha2", "phase_alpha", "phase_beta", "phase_a", "phase_b")
+_AMPLITUDES = ("a2", "alpha2", "phase_alpha", "phase_beta", "phase_a", "phase_b")
 #: Subcommand -> (its --help line, the keys it takes as flags, in --help order).
 _SUBCOMMANDS = {
     "single-pass": ("one traversal, branch probabilities and post states", _AMPLITUDES),
@@ -229,13 +240,13 @@ def _p_protocol(protocol: str, value: float) -> float:
 
 
 def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
-    reference = efficiency.REFERENCE_POINT
+    notes = list(_PRESETS[cfg.preset][1]) if cfg.preset is not None else []
     if cfg.preset == "paper-cavity":
-        finesse = reference["finesse"].value
-        length = reference["cavity_length"].value
+        finesse = _REFERENCE["finesse"].value
+        length = _REFERENCE["cavity_length"].value
         formula_rate = efficiency.cavity_decay_rate(finesse, length)
-        quoted = reference["cavity_decay_rate_quoted"]
-        emission = reference["emission_probability_quoted"]
+        quoted = _REFERENCE["cavity_decay_rate_quoted"]
+        emission = _REFERENCE["emission_probability_quoted"]
         results = {
             "preset": cfg.preset,
             "cavity": {
@@ -251,32 +262,15 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
                 },
             },
         }
-        return results, [
-            "the evaluated decay-rate formula (6.609e7/s) and the quoted reference "
-            "value (9.9e6/s) disagree for the same finesse and length; both are "
-            "reported and neither is adjusted"
-        ]
-    notes = ()
-    if cfg.preset is not None:
-        protocol_name, notes = _PRESETS[cfg.preset]
-        source_key, reference_key = _SOURCE_KEY[protocol_name]
-        cfg = replace(
-            cfg,
-            protocol=protocol_name,
-            p_cav=reference["emission_probability_quoted"].value,
-            detector_efficiency=reference["detector_efficiency"].value,
-            photon_rate=reference["photon_rate"].value,
-            **{source_key: reference[reference_key].value},
-        )
-    source_key = _SOURCE_KEY[cfg.protocol][0]
+        return results, notes
+    source_key = _SOURCE_KEY[cfg.protocol]
     value = getattr(cfg, source_key)
-    outcoupling = cfg.outcoupling if cfg.outcoupling is not None else 1.0
     report = efficiency.throughput(
         _p_protocol(cfg.protocol, value),
         p_cav=cfg.p_cav,
         detector_efficiency=cfg.detector_efficiency,
         photon_rate=cfg.photon_rate,
-        outcoupling=outcoupling,
+        outcoupling=cfg.outcoupling,
     )
     results = {
         "preset": cfg.preset,
@@ -284,12 +278,12 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
         "p_protocol": report.p_protocol,
         "p_cav": report.p_cav,
         "detector_efficiency": cfg.detector_efficiency,
-        "outcoupling": outcoupling,
+        "outcoupling": cfg.outcoupling,
         "photon_rate": cfg.photon_rate,
         "p_total": report.p_total,
         "pairs_per_second": report.pairs_per_second,
     }
-    return results, list(notes)
+    return results, notes
 
 
 def _mixed_point(point: RunConfig) -> dict:
@@ -362,7 +356,6 @@ class RunConfig:
     scenario: str
     a2: float = _key(0.5, "--a2", "lower ion m+ population", within=_UNIT)
     alpha2: float | None = _key(None, "--alpha2", "upper ion m+ population (defaults to --a2)", within=_UNIT)
-    b2: float | None = _key(None, "--b2", "lower ion m- population (must complement --a2)")
     phase_alpha: float = _key(0.0, "--phase-alpha")
     phase_beta: float = _key(0.0, "--phase-beta")
     phase_a: float = _key(0.0, "--phase-a")
@@ -371,7 +364,7 @@ class RunConfig:
     trials: int = _key(100_000, "--trials", within=(1, 10_000_000))
     seed: int = _key(0, "--seed")
     max_passes: int = _key(recycler.MAX_PASSES, "--max-passes", within=(1, 4096))
-    preset: str | None = _key(None, "--preset", choices=_PRESET_CHOICES)
+    preset: str | None = _key(None, "--preset", choices=_PRESETS)
     format: str = _key("json", "--format", choices=("json", "csv", "table"))
     axis: str | None = _key(None, "--axis", choices=_SWEEP_AXES)
     sweep_from: float | None = _key(None, "--from", within=_UNIT)
@@ -380,9 +373,9 @@ class RunConfig:
     sweep_scenario: str | None = _key(None, "--scenario", choices=_SWEEPS)
     p_cav: float | None = _key(within=_UNIT)
     detector_efficiency: float | None = _key(within=_UNIT)
-    outcoupling: float | None = _key(within=_UNIT)
+    outcoupling: float = _key(1.0, within=_UNIT)
     photon_rate: float | None = _key(within=(0, None))
-    protocol: str | None = _key(choices=tuple(_SOURCE_KEY))
+    protocol: str | None = _key(choices=_SOURCE_KEY)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -461,17 +454,21 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, given: dict) -> RunConfig:
+    """``cfg`` checked, and resolved to its preset's operating point; ``given`` holds the keys set."""
     if cfg.scenario not in _RUNNERS:
         raise UsageError(f"unknown scenario: {cfg.scenario}")
     if cfg.preset is not None:
         if cfg.scenario != "throughput":
             raise UsageError("preset is only available for throughput")
-        if cfg.preset not in _PRESET_CHOICES:
+        if cfg.preset not in _PRESETS:
             raise UsageError(f"unknown preset: {cfg.preset}")
-        fixed = [f.name for f in fields(cfg) if f.name in _PRESET_FIXES and getattr(cfg, f.name) != f.default]
+        point = _PRESETS[cfg.preset][0]
+        echoed = replace(RunConfig(cfg.scenario), **point)
+        fixed = [key for key in _PRESET_FIXES if key in given and getattr(cfg, key) != getattr(echoed, key)]
         if fixed:
             raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
+        cfg = replace(cfg, **point)
     for f in fields(cfg):
         value, choices, within = getattr(cfg, f.name), f.metadata.get("choices"), f.metadata.get("within")
         if value is None:
@@ -489,8 +486,6 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"{label} must be {'positive' if low else 'nonnegative'}")
         if high is not None and value > high:
             raise UsageError(f"{label} must be at most {high}")
-    if cfg.b2 is not None and abs(cfg.a2 + cfg.b2 - 1.0) > 1e-9:
-        raise UsageError("a2 and b2 must sum to 1")
     if cfg.format == "csv" and cfg.scenario != "sweep":
         raise UsageError("csv format is only available for sweep")
     if cfg.scenario == "sweep":
@@ -515,13 +510,15 @@ def _validate(cfg: RunConfig) -> None:
                 "throughput needs --preset or config keys p_cav, detector_efficiency, "
                 "photon_rate and protocol"
             )
+    return cfg
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve flags plus optional config file into a validated RunConfig.
 
     Flags that were given explicitly override config-file keys; unknown
-    config keys are rejected by name.
+    config keys are rejected by name.  A throughput preset's fixed keys hold
+    its operating point, so the report echoes the config it computes.
     """
     namespace = _parser().parse_args(argv)
     given = {k: v for k, v in vars(namespace).items() if v is not None and k != "config"}
@@ -533,8 +530,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     cfg = RunConfig.from_dict(merged)
     if cfg.scenario == "sweep" and "format" not in merged:
         cfg.format = "csv"
-    _validate(cfg)
-    return cfg
+    return _validate(cfg, merged)
 
 
 def build_report(cfg: RunConfig) -> dict:

@@ -44,15 +44,6 @@ class TestParseConfig:
         assert code == 2
         assert "a2 must lie in [0, 1]" in err
 
-    def test_b2_must_complement(self, capsys):
-        code, _, err = run_cli(capsys, "iterate", "--a2", "0.7", "--b2", "0.4")
-        assert code == 2
-        assert "sum to 1" in err
-
-    def test_b2_accepted_when_consistent(self):
-        cfg = parse_config(["iterate", "--a2", "0.7", "--b2", "0.3"])
-        assert cfg.b2 == 0.3
-
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_config(["iterate", "--bogus", "1"])
@@ -155,6 +146,7 @@ class TestParseConfig:
             (["iterate"], {"sweep_scenario": "nope"}, "scenario must be single_pass, iterate or mixed"),
             (["iterate"], {"protocol": "none"}, "protocol must be mixed or product"),
             (["throughput"], {"preset": "paper", "fidelity": 0.5}, "unknown preset: paper"),
+            (["throughput"], {"b2": 0.5}, "unknown config key: b2"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -172,16 +164,20 @@ class TestParseConfig:
         assert err == f"error: {named}\n"
 
     @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("p_cav", 0.5), ("photon_rate", 100.0), ("protocol", "product"),
-            ("fidelity", 0.5), ("a2", 0.9), ("b2", 0.5),
+        "preset, key, value",
+        [  # an id names its preset where that is not paper-mixed
+            pytest.param("paper-mixed", "p_cav", 0.5, id="p_cav-0.5"),
+            pytest.param("paper-mixed", "photon_rate", 100.0, id="photon_rate-100.0"),
+            pytest.param("paper-mixed", "protocol", "product", id="protocol-product"),
+            pytest.param("paper-mixed", "fidelity", 0.5, id="fidelity-0.5"),
+            pytest.param("paper-mixed", "a2", 0.9, id="a2-0.9"),
+            pytest.param("paper-product", "a2", 0.5, id="paper-product-a2-0.5"),
         ],
     )
-    def test_preset_rejects_operating_point_keys(self, capsys, tmp_path, key, value):
+    def test_preset_rejects_operating_point_keys(self, capsys, tmp_path, preset, key, value):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({key: value}))
-        code, out, err = run_cli(capsys, "throughput", "--preset", "paper-mixed", "--config", str(path))
+        code, out, err = run_cli(capsys, "throughput", "--preset", preset, "--config", str(path))
         assert code == 2
         assert out == ""
         assert key in err and "preset" in err

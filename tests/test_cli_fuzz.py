@@ -42,8 +42,6 @@ def _amplitudes(rng: random.Random, config: dict) -> None:
     config["a2"] = _population(rng)
     if rng.random() < 0.5:
         config["alpha2"] = _population(rng)
-    if rng.random() < 0.3:
-        config["b2"] = 1.0 - config["a2"]
     for name in ("phase_alpha", "phase_beta", "phase_a", "phase_b"):
         if rng.random() < 0.4:
             config[name] = rng.uniform(-10.0, 10.0)

@@ -109,7 +109,13 @@ def test_help_matches_golden(page, monkeypatch):
     assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
 
 
-_JSON_CASES = sorted(name for name in CASES if (GOLDEN / f"{name}.out").read_text().startswith("{"))
+def _renders_json(argv: list[str]) -> bool:
+    """Whether a case's report is JSON: ``--format`` if given, else CSV for a sweep and JSON otherwise."""
+    default = "csv" if argv[0] == "sweep" else "json"
+    return (argv[argv.index("--format") + 1] if "--format" in argv else default) == "json"
+
+
+_JSON_CASES = sorted(name for name, (argv, _) in CASES.items() if _renders_json(argv))
 
 
 @pytest.mark.parametrize("name", _JSON_CASES)
@@ -124,6 +130,16 @@ def test_config_echo_reruns_to_same_report(name, tmp_path):
         code = main([report["scenario"].replace("_", "-"), "--config", str(path)])
     assert code == 0
     assert buffer.getvalue() == expected
+
+
+@pytest.mark.parametrize("name", ["throughput_custom", "throughput_paper_mixed", "throughput_paper_product"])
+def test_throughput_echo_is_the_computed_operating_point(name):
+    """Every fixed key a throughput report echoes holds the value its results were computed with."""
+    report = json.loads((GOLDEN / f"{name}.out").read_text())
+    results = report["results"]
+    operating_point = ("p_cav", "detector_efficiency", "outcoupling", "photon_rate")
+    computed = {**results["source"], **{key: results[key] for key in operating_point}}
+    assert {key: report["config"][key] for key in computed} == computed
 
 
 if __name__ == "__main__":
