@@ -14,21 +14,23 @@ lower ion), is
 * the upper output carries ``(i/2) (c_mp |m-,m+> + c_pm |m+,m-> + 2 c_mm |m-,m->)``,
 * the lower output carries ``(1/2) (c_mp |m-,m+> - c_pm |m+,m->)``.
 
-The driver never evaluates these formulas; they fall out of the element
-composition and are pinned against an independent hand-derived oracle in
-the test suite.
+``single_pass`` never evaluates these formulas.  It replays a schedule read
+from the element tables, checked against the composed element maps at first
+use, and is pinned against an independent hand-derived oracle in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .elements import beam_splitter, ion_interaction
+from .elements import _ABSORPTION, _SPLITTER, beam_splitter, ion_interaction
 from .states import (
     MODE_INDEX,
     MODES,
     NORM_TOL,
     PAIRS,
+    PRUNE_EPS,
     Direction,
     IonId,
     MixedState,
@@ -184,31 +186,75 @@ class PassResult:
     post_scatter_l: SingleIonState | None
 
 
-def _scatter_branch(final: PureState, ion: IonId) -> tuple[float, SingleIonState | None]:
-    mass = 0.0
-    amps = [0j, 0j, 0j]  # surviving ion's level, in IonLevel order
-    for index, amp in final.indexed_items():
-        if MODES[index // PAIRS].scattered_at is ion:
-            mass += abs2(amp)
-            amps[index % 3 if ion is IonId.ION_U else index % PAIRS // 3] += amp
+@functools.cache
+def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
+    """One traversal as stages of ket moves read from the element tables, and its readout.
+
+    A stage lists its output kets in index order, each as (input slot, factors applied in turn)
+    in the order its element map appends them.  Checked at first use against :func:`propagate`.
+    """
+    if entry not in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+        raise ValueError("photon must enter at a mirror-side port")
+    base = PAIRS * MODE_INDEX[PhotonMode.propagating(*entry, photon_pol)]
+    inputs = kets = [base + pair for pair in _METASTABLE_PAIRS]
+
+    def split(ket: int) -> tuple:  # off the beam a ket passes through
+        crossed, phase = _SPLITTER[ket] or (ket, None)
+        return ((ket, ()),) if phase is None else ((crossed, (_SQRT_HALF,)), (ket, (_SQRT_HALF, phase)))
+
+    stages: list[tuple] = []
+    for moves in (lambda ket: ((ket, ()),), split, lambda ket: ((_ABSORPTION[IonId.ION_U][ket], ()),),
+                  lambda ket: ((_ABSORPTION[IonId.ION_L][ket], ()),), split):
+        merged: dict[int, list] = {}
+        for slot, ket in enumerate(kets):
+            for target, factors in moves(ket):
+                merged.setdefault(target, []).append((slot, factors))
+        if len(stages) > 1 and all(len(terms) == 1 and not terms[0][1] for terms in merged.values()):
+            # a one-to-one move (an ion map) keeps merged, pruned amplitudes: reorder the stage before
+            before = stages.pop()
+            merged = {target: before[terms[0][0]] for target, terms in merged.items()}
+        kets = sorted(merged)
+        stages.append(tuple(tuple(merged[ket]) for ket in kets))
+    readout = []  # branches: scatter at U, scatter at L, upper port, lower port
+    for ket in kets:
+        mode, pair = MODES[ket // PAIRS], ket % PAIRS
+        if mode.scattered_at is None:  # a port: the pair's place in IonPairState
+            readout.append((2 if mode.port is Port.UPPER else 3, _METASTABLE_PAIRS.index(pair)))
+        else:  # a scatter site: the surviving ion's level
+            readout.append((0, pair % 3) if mode.scattered_at is IonId.ION_U else (1, pair // 3))
+    for start in inputs:
+        final = _replay(stages, [complex(ket == start) for ket in inputs])
+        composed = propagate(PureState(indexed=[(start, 1.0)])).indexed_items()
+        if [(ket, amp) for ket, amp in zip(kets, final) if amp] != list(composed):
+            raise RuntimeError("single-pass schedule disagrees with the element maps")
+    return tuple(stages), tuple(readout)
+
+
+def _replay(stages: tuple, amps: list[complex]) -> list[complex]:
+    """Run ``amps`` through the stages with the element maps' arithmetic and pruning.
+
+    A pruned ket holds 0j; its exact zeros change no sum, as a merge starts from 0j like
+    ``PureState``'s, so no partial sum holds a -0.0 to flip.
+    """
+    for stage in stages:
+        out = []
+        for terms in stage:
+            merged = 0j
+            for slot, factors in terms:
+                amp = amps[slot]
+                for factor in factors:
+                    amp = amp * factor
+                merged = merged + amp
+            out.append(merged if abs(merged) >= PRUNE_EPS else 0j)
+        amps = out
+    return amps
+
+
+def _branch(mass: float, amps: list[complex], make):
     if mass <= 0.0:
         return 0.0, None
     inv = mass ** -0.5
-    return mass, SingleIonState(amps[0] * inv, amps[1] * inv)
-
-
-def _port_branch(final: PureState, port: Port) -> tuple[float, IonPairState | None]:
-    mass = 0.0
-    amps = [0j] * PAIRS
-    for index, amp in final.indexed_items():
-        mode, pair = divmod(index, PAIRS)
-        if MODES[mode].port is port:
-            mass += abs2(amp)
-            amps[pair] += amp
-    if mass <= 0.0:
-        return 0.0, None
-    inv = mass ** -0.5
-    return mass, IonPairState(*(amps[pair] * inv for pair in _METASTABLE_PAIRS))
+    return mass, make(*[amp * inv for amp in amps])
 
 
 def single_pass(
@@ -221,13 +267,17 @@ def single_pass(
 
     For forward entry the mirror port is the upper-right output, so with
     ``enclosed`` the upper-port mass recycles; for backward entry the
-    roles of the two ports swap.
+    roles of the two ports swap.  Replays :func:`evolve_single_pass` bit for bit.
     """
-    final = evolve_single_pass(ions, photon_pol, entry)
-    p_su, post_su = _scatter_branch(final, IonId.ION_U)
-    p_sl, post_sl = _scatter_branch(final, IonId.ION_L)
-    upper_mass, upper_state = _port_branch(final, Port.UPPER)
-    lower_mass, lower_state = _port_branch(final, Port.LOWER)
+    stages, readout = _schedule(photon_pol, entry)
+    masses = [0.0] * 4
+    amps = [[0j, 0j], [0j, 0j], [0j] * 4, [0j] * 4]
+    for (branch, slot), amp in zip(readout, _replay(stages, [ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm])):
+        masses[branch] += amp.real * amp.real + amp.imag * amp.imag
+        amps[branch][slot] += amp
+    (p_su, post_su), (p_sl, post_sl), (upper_mass, upper_state), (lower_mass, lower_state) = map(
+        _branch, masses, amps, (SingleIonState, SingleIonState, IonPairState, IonPairState)
+    )
 
     forward = entry[1] is Direction.FORWARD  # the mirror port is the upper one
     p_upper, p_lower, p_recycle = upper_mass, lower_mass, 0.0

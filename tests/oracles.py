@@ -3,15 +3,25 @@
 ``closed_form_final_state`` writes down the hand-derived output of one
 traversal directly, term by term, without touching the element maps, so
 the element-composed driver can be pinned against it coefficient by
-coefficient.
+coefficient.  ``reference_single_pass`` reads the branches straight off the
+composed state of ``evolve_single_pass``, so the scheduled ``single_pass``
+can be pinned against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from ionmzi.protocol import IonPairState
+from ionmzi.protocol import (
+    ENTRY_LOWER_FORWARD,
+    IonPairState,
+    PassResult,
+    SingleIonState,
+    evolve_single_pass,
+)
 from ionmzi.states import (
+    MODES,
+    PAIRS,
     BasisState,
     Direction,
     IonId,
@@ -20,6 +30,7 @@ from ionmzi.states import (
     Polarization,
     Port,
     PureState,
+    abs2,
 )
 
 SQRT_HALF = 2.0 ** -0.5
@@ -62,6 +73,65 @@ def closed_form_final_state(ions: IonPairState) -> PureState:
     )
 
 
+def _scatter_branch(final: PureState, ion: IonId) -> tuple[float, SingleIonState | None]:
+    mass = 0.0
+    amps = [0j, 0j, 0j]  # surviving ion's level, in IonLevel order
+    for index, amp in final.indexed_items():
+        if MODES[index // PAIRS].scattered_at is ion:
+            mass += abs2(amp)
+            amps[index % 3 if ion is IonId.ION_U else index % PAIRS // 3] += amp
+    if mass <= 0.0:
+        return 0.0, None
+    inv = mass ** -0.5
+    return mass, SingleIonState(amps[0] * inv, amps[1] * inv)
+
+
+def _port_branch(final: PureState, port: Port) -> tuple[float, IonPairState | None]:
+    mass = 0.0
+    amps = [0j] * PAIRS
+    for index, amp in final.indexed_items():
+        mode, pair = divmod(index, PAIRS)
+        if MODES[mode].port is port:
+            mass += abs2(amp)
+            amps[pair] += amp
+    if mass <= 0.0:
+        return 0.0, None
+    inv = mass ** -0.5
+    return mass, IonPairState(*(amps[pair] * inv for pair in (0, 1, 3, 4)))  # the metastable pairs
+
+
+def reference_single_pass(
+    ions: IonPairState,
+    photon_pol: Polarization = Polarization.SIGMA_PLUS,
+    entry=ENTRY_LOWER_FORWARD,
+    enclosed: bool = False,
+) -> PassResult:
+    """``single_pass`` as a reading of the composed state: every stage a ``PureState``."""
+    final = evolve_single_pass(ions, photon_pol, entry)
+    p_su, post_su = _scatter_branch(final, IonId.ION_U)
+    p_sl, post_sl = _scatter_branch(final, IonId.ION_L)
+    upper_mass, upper_state = _port_branch(final, Port.UPPER)
+    lower_mass, lower_state = _port_branch(final, Port.LOWER)
+    forward = entry[1] is Direction.FORWARD  # the mirror port is the upper one
+    p_upper, p_lower, p_recycle = upper_mass, lower_mass, 0.0
+    if enclosed and forward:
+        p_upper, p_recycle = 0.0, upper_mass
+    elif enclosed:
+        p_lower, p_recycle = 0.0, lower_mass
+    return PassResult(
+        p_scatter_u=p_su,
+        p_scatter_l=p_sl,
+        p_detect_upper=p_upper,
+        p_detect_lower=p_lower,
+        p_recycle=p_recycle,
+        post_detect_upper=upper_state,
+        post_detect_lower=lower_state,
+        post_recycle=upper_state if forward else lower_state,
+        post_scatter_u=post_su,
+        post_scatter_l=post_sl,
+    )
+
+
 def max_amplitude_delta(first: PureState, second: PureState) -> float:
     """Largest per-coefficient difference between two states."""
     keys = {basis for basis, _ in first.items()} | {basis for basis, _ in second.items()}
@@ -72,6 +142,31 @@ def random_ion_pair(rng) -> IonPairState:
     """Haar-ish random two-ion state from four complex gaussians."""
     raw = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4)]
     return IonPairState.from_unnormalized(*raw)
+
+
+def random_edge_ion_pair(rng) -> IonPairState:
+    """Random two-ion state that reaches the pruning and signed-zero corners.
+
+    Each raw amplitude is zeroed with probability 1/4 or scaled by 10^U(-13, 0)
+    with probability 1/4, so terms fall below ``PRUNE_EPS`` at some stage.  Each
+    real and each imaginary part is -0.0 with probability 1/20.
+    """
+    raw = [0j] * 4
+    while not any(raw):
+        raw = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4)]
+        for slot, u in enumerate(rng.random(4)):
+            if u < 0.25:
+                raw[slot] = 0j
+            elif u < 0.5:
+                raw[slot] *= 10.0 ** rng.uniform(-13.0, 0.0)
+        signed_real, signed_imag = rng.random(4) < 0.05, rng.random(4) < 0.05
+        raw = [complex(0.0 if r else z.real, 0.0 if i else z.imag) for z, r, i in zip(raw, signed_real, signed_imag)]
+    state = IonPairState.from_unnormalized(*raw)
+    amps = (state.c_pp, state.c_pm, state.c_mp, state.c_mm)
+    # the sign of a zero part leaves the norm as it is
+    return IonPairState(
+        *(complex(-0.0 if r else z.real, -0.0 if i else z.imag) for z, r, i in zip(amps, signed_real, signed_imag))
+    )
 
 
 def random_product_amplitudes(rng) -> tuple[complex, complex, complex, complex]:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from ionmzi import protocol
 from ionmzi.protocol import (
+    ENTRY_LOWER_FORWARD,
     ENTRY_UPPER_BACKWARD,
     IonPairState,
     bell_phi_plus,
@@ -30,8 +32,10 @@ from oracles import (
     SQRT_HALF,
     closed_form_final_state,
     max_amplitude_delta,
+    random_edge_ion_pair,
     random_ion_pair,
     random_product_amplitudes,
+    reference_single_pass,
 )
 
 
@@ -183,6 +187,34 @@ class TestOracleEquivalence:
             assert abs(total - 1.0) < 1e-10
 
 
+class TestSchedule:
+    def test_single_pass_matches_reference_decomposition(self):
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            ions = random_edge_ion_pair(rng)
+            for pol in Polarization:
+                for entry in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+                    for enclosed in (False, True):
+                        assert repr(single_pass(ions, pol, entry, enclosed)) == repr(
+                            reference_single_pass(ions, pol, entry, enclosed)
+                        )
+
+    def test_first_use_checks_the_schedule_against_the_composed_maps(self, monkeypatch):
+        composed = protocol.propagate
+
+        def one_phase_flipped(state):
+            (index, amp), *rest = composed(state).indexed_items()
+            return PureState(indexed=[(index, -amp), *rest])
+
+        monkeypatch.setattr(protocol, "propagate", one_phase_flipped)
+        protocol._schedule.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="disagrees with the element maps"):
+                single_pass(bell_psi_plus())
+        finally:
+            protocol._schedule.cache_clear()
+
+
 class TestEntryAndPolarization:
     def test_bad_entry_rejected(self):
         with pytest.raises(ValueError, match="mirror-side"):
@@ -210,13 +242,19 @@ class TestEntryAndPolarization:
         assert abs(post.c_pp) > 0.0
         assert post.c_mm == 0j
 
-    def test_enclosed_moves_upper_mass_to_recycle(self):
+    @pytest.mark.parametrize(
+        ("entry", "mirror_port"),
+        [(ENTRY_LOWER_FORWARD, "upper"), (ENTRY_UPPER_BACKWARD, "lower")],
+        ids=["forward", "backward"],
+    )
+    def test_enclosed_moves_upper_mass_to_recycle(self, entry, mirror_port):
+        # the mirror closes the upper port for forward entry and the lower one for backward entry
         ions = balanced_product(0.7)
-        plain = single_pass(ions)
-        enclosed = single_pass(ions, enclosed=True)
-        assert enclosed.p_recycle == pytest.approx(plain.p_detect_upper, abs=1e-15)
-        assert enclosed.p_detect_upper == 0.0
-        assert enclosed.post_recycle == plain.post_detect_upper
+        plain = single_pass(ions, entry=entry)
+        enclosed = single_pass(ions, entry=entry, enclosed=True)
+        assert enclosed.p_recycle == pytest.approx(getattr(plain, f"p_detect_{mirror_port}"), abs=1e-15)
+        assert getattr(enclosed, f"p_detect_{mirror_port}") == 0.0
+        assert enclosed.post_recycle == getattr(plain, f"post_detect_{mirror_port}")
 
 
 class TestRunProduct:
