@@ -53,6 +53,9 @@ CASES = {
     "iterate_max_passes_5_table": (["iterate", "--a2", "0.7", "--max-passes", "5", "--format", "table"], None),
     "iterate_default": (["iterate", "--a2", "0.7"], None),
     "mixed": (["mixed", "--fidelity", "0.7"], None),
+    "mixed_fidelity_0": (["mixed", "--fidelity", "0"], None),
+    "mixed_fidelity_1": (["mixed", "--fidelity", "1"], None),
+    "mixed_fidelity_1e-300": (["mixed", "--fidelity", "1e-300"], None),
     "monte_carlo_a2_003": (["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7"], None),
     "monte_carlo_a2_097": (["monte-carlo", "--a2", "0.97", "--trials", "500", "--seed", "7"], None),
     "throughput_paper_mixed": (["throughput", "--preset", "paper-mixed"], None),
@@ -107,6 +110,12 @@ def test_report_matches_golden(name, tmp_path):
 def test_help_matches_golden(page, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
+
+
+def test_golden_files_are_exactly_the_cases_and_help_pages():
+    """Every golden is read by a case or a help page, so a renamed or dropped one leaves no orphan."""
+    expected = {f"{case}.out" for case in CASES} | {f"help_{page}.out" for page in HELP_PAGES}
+    assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
 def _renders_json(argv: list[str]) -> bool:
