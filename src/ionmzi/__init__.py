@@ -14,7 +14,6 @@ from .states import (
     Direction,
     IonId,
     IonLevel,
-    MixedState,
     ModeKind,
     PhotonMode,
     Polarization,
@@ -22,7 +21,6 @@ from .states import (
     PureState,
     equal_up_to_global_phase,
     inner_product,
-    ion_fidelity,
     normalize,
 )
 from .elements import MirrorId, beam_splitter, detect, ion_interaction, mirror
@@ -34,7 +32,6 @@ from .protocol import (
     PassResult,
     ProductPassResult,
     SingleIonState,
-    bell_phi_minus,
     bell_phi_plus,
     bell_psi_minus,
     bell_psi_plus,
@@ -56,7 +53,6 @@ from .efficiency import (
     cavity_decay_rate,
     cavity_emission_probability,
     cavity_mode_volume,
-    cavity_waist,
     coupling_constant,
     throughput,
 )
@@ -74,7 +70,6 @@ __all__ = [
     "IterationResult",
     "MirrorId",
     "MixedPassResult",
-    "MixedState",
     "ModeKind",
     "MonteCarloResult",
     "PassResult",
@@ -86,20 +81,17 @@ __all__ = [
     "SingleIonState",
     "ThroughputReport",
     "beam_splitter",
-    "bell_phi_minus",
     "bell_phi_plus",
     "bell_psi_minus",
     "bell_psi_plus",
     "cavity_decay_rate",
     "cavity_emission_probability",
     "cavity_mode_volume",
-    "cavity_waist",
     "coupling_constant",
     "detect",
     "equal_up_to_global_phase",
     "evolve_single_pass",
     "inner_product",
-    "ion_fidelity",
     "ion_interaction",
     "ion_pair_pure_state",
     "iterate_analytic",

@@ -21,8 +21,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import efficiency, protocol, recycler
-from .protocol import IonPairState, bell_psi_minus, bell_psi_plus, ion_pair_pure_state
-from .states import MixedState, ion_fidelity
+from .protocol import IonPairState, bell_psi_minus, bell_psi_plus
 
 SCHEMA_VERSION = 2
 TOOL_NAME = "ionmzi"
@@ -172,9 +171,17 @@ def _run_iterate(cfg: RunConfig) -> tuple[dict, list[str]]:
     return results, []
 
 
-def _fidelity_vs(state: MixedState | None, bell: IonPairState) -> float | None:
-    """Fidelity of a detector-conditioned state with a Bell state; None if never heralded."""
-    return None if state is None else ion_fidelity(state, ion_pair_pure_state(bell))
+def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> float | None:
+    """Fidelity of a detector-conditioned ensemble with a Bell state; None if never heralded.
+
+    A plain loop in component order: builtin ``sum`` compensates rounding from Python 3.12 on.
+    """
+    if ensemble is None:
+        return None
+    total = 0.0
+    for weight, state in ensemble:
+        total += weight * state.fidelity(bell)
+    return total
 
 
 def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:

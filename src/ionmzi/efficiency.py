@@ -86,13 +86,6 @@ def cavity_mode_volume(length: float, wavelength: float) -> float:
     return length * length * wavelength / 4.0
 
 
-def cavity_waist(length: float, wavelength: float) -> float:
-    """Confocal-cavity waist sqrt(length * wavelength / pi), a diagnostic."""
-    if length <= 0.0 or wavelength <= 0.0:
-        raise ValueError("length and wavelength must be positive")
-    return math.sqrt(length * wavelength / math.pi)
-
-
 def coupling_constant(dipole_moment: float, wavelength: float, length: float) -> float:
     """Transition-cavity coupling (D/hbar) * sqrt(h*c / (2*eps0*wavelength*V)).
 

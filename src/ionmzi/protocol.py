@@ -33,7 +33,6 @@ from .states import (
     PRUNE_EPS,
     Direction,
     IonId,
-    MixedState,
     PhotonMode,
     Polarization,
     Port,
@@ -127,10 +126,6 @@ def bell_psi_minus() -> IonPairState:
 
 def bell_phi_plus() -> IonPairState:
     return IonPairState(c_pp=_SQRT_HALF, c_mm=_SQRT_HALF)
-
-
-def bell_phi_minus() -> IonPairState:
-    return IonPairState(c_pp=_SQRT_HALF, c_mm=-_SQRT_HALF)
 
 
 def ion_pair_pure_state(ions: IonPairState, photon: PhotonMode | None = None) -> PureState:
@@ -337,13 +332,17 @@ def run_product(
     return ProductPassResult(result=result, balanced=balanced, fidelity_vs_psi_minus=fidelity)
 
 
+#: A heralded mixture: (weight, ion-pair state) components, weights in (0, 1] summing to one.
+Ensemble = tuple[tuple[float, IonPairState], ...]
+
+
 @dataclass(frozen=True)
 class MixedPassResult:
     """Per-component traversals and pooled branch statistics for a mixed input.
 
     The input ensemble is |Psi+> with weight ``input_fidelity`` and
-    |Phi+> with the complement.  Detector-conditioned outputs are pooled
-    ensembles over the surviving components.
+    |Phi+> with the complement.  Each detector-conditioned output pools
+    the components that reach that detector, and is None if none does.
     """
 
     input_fidelity: float
@@ -353,8 +352,8 @@ class MixedPassResult:
     p_detect_upper: float
     p_detect_lower: float
     p_recycle: float
-    post_detect_upper: MixedState | None
-    post_detect_lower: MixedState | None
+    post_detect_upper: Ensemble | None
+    post_detect_lower: Ensemble | None
 
 
 def run_mixed(fidelity: float) -> MixedPassResult:
@@ -371,12 +370,12 @@ def run_mixed(fidelity: float) -> MixedPassResult:
     def pooled(value) -> float:
         return sum(w * value(r) for w, _, r in runs)
 
-    def conditioned(prob, post) -> MixedState | None:
+    def conditioned(prob, post) -> Ensemble | None:
         total = pooled(prob)
         if total <= 0.0:
             return None
         parts = [(w * prob(r) / total, post(r)) for w, _, r in runs if post(r) is not None]
-        return MixedState((weight, ion_pair_pure_state(state)) for weight, state in parts if weight > 0.0)
+        return tuple((weight, state) for weight, state in parts if weight > 0.0)
 
     return MixedPassResult(
         input_fidelity=fidelity,

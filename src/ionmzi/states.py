@@ -6,8 +6,7 @@ propagating interferometer mode (port x direction x polarization), a
 vacuum once a detector has consumed it.  Each ion sits in one of three
 levels.  A pure state is a sparse map from joint basis kets to complex
 amplitudes, held in canonical form (pruned below ``PRUNE_EPS``, sorted by
-basis index) so that equality is structural; a mixed state is a weighted
-ensemble of normalized pure states.
+basis index) so that equality is structural.
 
 The joint space is small and fixed: 11 photon modes times 9 ion-level
 pairs, 99 kets in all.  Each ket has one integer index (``kets()``), and a
@@ -249,63 +248,3 @@ def equal_up_to_global_phase(first: PureState, second: PureState, tol: float = N
     _, a = normalize(first)
     _, b = normalize(second)
     return 1.0 - abs(inner_product(a, b)) <= tol
-
-
-class MixedState:
-    """Weighted ensemble of normalized pure states.
-
-    Weights lie in (0, 1] and sum to one; zero-weight branches must be
-    dropped by the caller before construction.
-    """
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components: Iterable[tuple[float, PureState]]) -> None:
-        comps = tuple((float(w), state) for w, state in components)
-        if not comps:
-            raise ValueError("mixed state needs at least one component")
-        for weight, state in comps:
-            if not 0.0 < weight <= 1.0:
-                raise ValueError("component weights must lie in (0, 1]")
-            if abs(state.norm() - 1.0) > NORM_TOL:
-                raise ValueError("component states must be normalized")
-        if abs(sum(w for w, _ in comps) - 1.0) > NORM_TOL:
-            raise ValueError("component weights must sum to 1")
-        self._components = comps
-
-    @property
-    def components(self) -> tuple[tuple[float, PureState], ...]:
-        return self._components
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MixedState):
-            return NotImplemented
-        return self._components == other._components
-
-    def __repr__(self) -> str:
-        return f"MixedState({len(self._components)} components)"
-
-
-def _ion_factor(state: PureState) -> dict[int, complex]:
-    """Ion-pair amplitudes, keyed by pair index, of a state whose photon mode factorizes out."""
-    if len({index // PAIRS for index, _ in state.indexed_items()}) != 1:
-        raise ValueError("photon not separable")
-    return {index % PAIRS: amp for index, amp in state.indexed_items()}
-
-
-def ion_fidelity(ensemble: MixedState, target: PureState) -> float:
-    """Overlap probability of the ensemble's two-ion factor with a pure target.
-
-    The photon mode of every component (and of the target) must be uniform
-    within that state; it is traced out before the overlap is taken.
-    """
-    target_amps = _ion_factor(target)
-    total = 0.0
-    for weight, state in ensemble.components:
-        amps = _ion_factor(state)
-        overlap = sum(
-            (target_amps[key].conjugate() * amp for key, amp in amps.items() if key in target_amps),
-            0j,
-        )
-        total += weight * abs2(overlap)
-    return total

@@ -5,7 +5,8 @@ traversal directly, term by term, without touching the element maps, so
 the element-composed driver can be pinned against it coefficient by
 coefficient.  ``reference_single_pass`` reads the branches straight off the
 composed state of ``evolve_single_pass``, so the scheduled ``single_pass``
-can be pinned against it bit for bit.
+can be pinned against it bit for bit.  ``ensemble_fidelity`` scores a
+heralded (weight, ion-pair state) ensemble against a target.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 from ionmzi.protocol import (
     ENTRY_LOWER_FORWARD,
+    Ensemble,
     IonPairState,
     PassResult,
     SingleIonState,
@@ -136,6 +138,11 @@ def max_amplitude_delta(first: PureState, second: PureState) -> float:
     """Largest per-coefficient difference between two states."""
     keys = {basis for basis, _ in first.items()} | {basis for basis, _ in second.items()}
     return max(abs(first.amplitude(k) - second.amplitude(k)) for k in keys) if keys else 0.0
+
+
+def ensemble_fidelity(ensemble: Ensemble, target: IonPairState) -> float:
+    """Weighted overlap probability sum_k w_k |<target|state_k>|^2 of a heralded ensemble."""
+    return math.fsum(weight * state.fidelity(target) for weight, state in ensemble)
 
 
 def random_ion_pair(rng) -> IonPairState:

@@ -18,7 +18,6 @@ from ionmzi.protocol import (
     bell_psi_minus,
     bell_psi_plus,
     evolve_single_pass,
-    ion_pair_pure_state,
     run_mixed,
     single_pass,
 )
@@ -31,10 +30,9 @@ from ionmzi.states import (
     Port,
     PureState,
     BasisState,
-    ion_fidelity,
 )
 
-from oracles import closed_form_final_state, max_amplitude_delta, random_ion_pair
+from oracles import closed_form_final_state, ensemble_fidelity, max_amplitude_delta, random_ion_pair
 
 
 def balanced_product(a2: float) -> IonPairState:
@@ -129,8 +127,6 @@ def test_criterion_04_iterated_totals():
 
 
 def test_criterion_05_mixed_state_case():
-    psi_minus_target = ion_pair_pure_state(bell_psi_minus())
-    psi_plus_target = ion_pair_pure_state(bell_psi_plus())
     for fidelity_in in (0.0, 0.25, 0.5, 0.7, 1.0):
         run = run_mixed(fidelity_in)
         assert run.p_detect_lower == pytest.approx(fidelity_in / 4.0, abs=1e-12)
@@ -139,11 +135,11 @@ def test_criterion_05_mixed_state_case():
         )
         assert iterated == pytest.approx(fidelity_in / 3.0, abs=1e-12)
         if fidelity_in > 0.0:
-            assert len(run.post_detect_lower.components) == 1  # pure conditional state
-            assert ion_fidelity(run.post_detect_lower, psi_minus_target) == pytest.approx(
+            assert len(run.post_detect_lower) == 1  # pure conditional state
+            assert ensemble_fidelity(run.post_detect_lower, bell_psi_minus()) == pytest.approx(
                 1.0, abs=1e-12
             )
-            conditioned = ion_fidelity(run.post_detect_upper, psi_plus_target)
+            conditioned = ensemble_fidelity(run.post_detect_upper, bell_psi_plus())
             assert conditioned == pytest.approx(
                 fidelity_in / (2.0 - fidelity_in), abs=1e-12
             )

@@ -9,7 +9,6 @@ from ionmzi.efficiency import (
     cavity_decay_rate,
     cavity_emission_probability,
     cavity_mode_volume,
-    cavity_waist,
     coupling_constant,
     throughput,
 )
@@ -73,9 +72,6 @@ class TestCouplingConstant:
 
     def test_mode_volume_and_waist(self):
         assert cavity_mode_volume(3e-3, 393e-9) == pytest.approx(9e-6 * 393e-9 / 4.0, rel=1e-12)
-        assert cavity_waist(3e-3, 393e-9) == pytest.approx(
-            math.sqrt(3e-3 * 393e-9 / math.pi), rel=1e-12
-        )
 
 
 class TestEmissionProbability:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,12 +26,12 @@ from ionmzi.states import (
     Polarization,
     Port,
     PureState,
-    ion_fidelity,
 )
 
 from oracles import (
     SQRT_HALF,
     closed_form_final_state,
+    ensemble_fidelity,
     max_amplitude_delta,
     random_edge_ion_pair,
     random_ion_pair,
@@ -299,8 +300,7 @@ class TestRunMixed:
     def test_success_probability_is_quarter_fidelity(self):
         run = run_mixed(0.7)
         assert run.p_detect_lower == pytest.approx(0.175, abs=1e-12)
-        target = ion_pair_pure_state(bell_psi_minus())
-        assert ion_fidelity(run.post_detect_lower, target) == pytest.approx(1.0, abs=1e-12)
+        assert ensemble_fidelity(run.post_detect_lower, bell_psi_minus()) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_input_limit(self):
         assert run_mixed(1.0).p_detect_lower == pytest.approx(0.25, abs=1e-12)
@@ -309,8 +309,7 @@ class TestRunMixed:
     def test_upper_branch_fidelity_degrades(self):
         for fidelity_in in (0.2, 0.5, 0.7, 0.9):
             run = run_mixed(fidelity_in)
-            target = ion_pair_pure_state(bell_psi_plus())
-            conditioned = ion_fidelity(run.post_detect_upper, target)
+            conditioned = ensemble_fidelity(run.post_detect_upper, bell_psi_plus())
             expected = fidelity_in / (2.0 - fidelity_in)
             assert conditioned == pytest.approx(expected, abs=1e-12)
             assert conditioned < fidelity_in
@@ -324,8 +323,7 @@ class TestRunMixed:
         w_bad = (1.0 - fidelity_in) * 0.5
         expected = w_good / (w_good + w_bad)
         run = run_mixed(fidelity_in)
-        target = ion_pair_pure_state(bell_psi_plus())
-        assert ion_fidelity(run.post_detect_upper, target) == pytest.approx(expected, abs=1e-12)
+        assert ensemble_fidelity(run.post_detect_upper, bell_psi_plus()) == pytest.approx(expected, abs=1e-12)
 
     def test_fidelity_bounds_enforced(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -338,7 +336,9 @@ class TestRunMixed:
         assert run.post_detect_lower is None
 
     def test_pooled_branches_complete(self):
-        for fidelity_in in (0.0, 0.3, 0.5, 0.8, 1.0):
+        rng = random.Random(20260)
+        seeded = [rng.random() for _ in range(200)]
+        for fidelity_in in (0.0, 0.3, 0.5, 0.8, 1.0, 5e-324, 1e-300, 1.0 - 1e-16, *seeded):
             run = run_mixed(fidelity_in)
             total = (
                 run.p_scatter_u
@@ -348,6 +348,10 @@ class TestRunMixed:
                 + run.p_recycle
             )
             assert total == pytest.approx(1.0, abs=1e-10)
-            if run.post_detect_upper is not None:
-                weights = [w for w, _ in run.post_detect_upper.components]
-                assert sum(weights) == pytest.approx(1.0, abs=1e-10)
+            for ensemble in (run.post_detect_upper, run.post_detect_lower):
+                if ensemble is not None:
+                    weights = [w for w, _ in ensemble]
+                    assert all(0.0 < w <= 1.0 for w in weights), fidelity_in
+                    assert sum(weights) == pytest.approx(1.0, abs=1e-10)
+                    # the constructor enforces the unit norm
+                    assert all(isinstance(state, IonPairState) for _, state in ensemble)

@@ -8,13 +8,11 @@ from ionmzi.states import (
     Direction,
     IonId,
     IonLevel,
-    MixedState,
     PhotonMode,
     Port,
     PureState,
     equal_up_to_global_phase,
     inner_product,
-    ion_fidelity,
     normalize,
 )
 
@@ -38,10 +36,6 @@ def psi_plus() -> PureState:
 
 def psi_minus() -> PureState:
     return PureState({KET_MP: SQRT_HALF, KET_PM: -SQRT_HALF})
-
-
-def phi_plus() -> PureState:
-    return PureState({KET_PP: SQRT_HALF, KET_MM: SQRT_HALF})
 
 
 class TestPhotonMode:
@@ -161,57 +155,3 @@ class TestEqualUpToGlobalPhase:
     def test_different_rays_differ(self):
         assert not equal_up_to_global_phase(psi_plus(), psi_minus())
 
-
-class TestMixedState:
-    def test_weights_validated(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            MixedState([(0.5, psi_plus()), (0.4, phi_plus())])
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            MixedState([(0.0, psi_plus()), (1.0, phi_plus())])
-
-    def test_components_must_be_normalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            MixedState([(1.0, PureState({KET_PM: 0.5}))])
-
-
-class TestIonFidelity:
-    def test_pure_match(self):
-        assert ion_fidelity(MixedState([(1.0, psi_plus())]), psi_plus()) == pytest.approx(1.0)
-
-    def test_two_component_mixture(self):
-        mixed = MixedState([(0.7, psi_plus()), (0.3, phi_plus())])
-        assert ion_fidelity(mixed, psi_plus()) == pytest.approx(0.7, abs=1e-12)
-
-    def test_photon_mode_traced_out(self):
-        # photon marker differs from the target's vacuum but factorizes out
-        scattered = PhotonMode.scattered(IonId.ION_U)
-        moved = PureState(
-            {BasisState(scattered, b.ion_u, b.ion_l): amp for b, amp in psi_plus().items()}
-        )
-        assert ion_fidelity(MixedState([(1.0, moved)]), psi_plus()) == pytest.approx(1.0)
-
-    def test_entangled_photon_rejected(self):
-        tangled = PureState(
-            {
-                BasisState(VAC, IonLevel.M_PLUS, IonLevel.M_MINUS): SQRT_HALF,
-                BasisState(PhotonMode.scattered(IonId.ION_U), IonLevel.G, IonLevel.M_PLUS): SQRT_HALF,
-            }
-        )
-        with pytest.raises(ValueError, match="photon not separable"):
-            ion_fidelity(MixedState([(1.0, tangled)]), psi_plus())
-
-    def test_conditioned_mixture_value(self):
-        # lower-detector garbage branch bookkeeping: weights F/4 on Psi+
-        # and (1-F)/2 on |m-,m->, renormalized, scored against Psi+
-        fidelity_in = 0.7
-        w_good = fidelity_in * 0.25
-        w_bad = (1.0 - fidelity_in) * 0.5
-        mixed = MixedState(
-            [
-                (w_good / (w_good + w_bad), psi_plus()),
-                (w_bad / (w_good + w_bad), PureState({KET_MM: 1.0})),
-            ]
-        )
-        expected = fidelity_in / (2.0 - fidelity_in)
-        assert ion_fidelity(mixed, psi_plus()) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.5384615384615384, abs=1e-12)
