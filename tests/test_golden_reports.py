@@ -58,6 +58,10 @@ CASES = {
     "mixed_fidelity_1e-300": (["mixed", "--fidelity", "1e-300"], None),
     "monte_carlo_a2_003": (["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7"], None),
     "monte_carlo_a2_097": (["monte-carlo", "--a2", "0.97", "--trials", "500", "--seed", "7"], None),
+    "monte_carlo_a2_097_table": (
+        ["monte-carlo", "--a2", "0.97", "--trials", "500", "--seed", "7", "--format", "table"], None),
+    "monte_carlo_max_passes_3": (
+        ["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7", "--max-passes", "3"], None),
     "throughput_paper_mixed": (["throughput", "--preset", "paper-mixed"], None),
     "throughput_paper_product": (["throughput", "--preset", "paper-product"], None),
     "throughput_paper_cavity": (["throughput", "--preset", "paper-cavity"], None),
