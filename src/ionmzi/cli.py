@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -59,16 +57,6 @@ _PRESETS = {
     )),
 }
 _AMPLITUDES = ("a2", "alpha2", "phase_alpha", "phase_beta", "phase_a", "phase_b")
-#: Subcommand -> (its --help line, the keys it takes as flags, in --help order).
-_SUBCOMMANDS = {
-    "single-pass": ("one traversal, branch probabilities and post states", _AMPLITUDES),
-    "iterate": ("recycling loop, closed form and round-by-round", (*_AMPLITUDES, "max_passes")),
-    "mixed": ("two-component mixed input, single pass and iterated", ("fidelity", "max_passes")),
-    "monte-carlo": ("sampled recycling loop with standard errors", (*_AMPLITUDES, "trials", "seed", "max_passes")),
-    "throughput": ("entangled pairs per second", ("preset",)),
-    "sweep": ("scan one axis and emit one row per point", (
-        "sweep_scenario", "axis", "sweep_from", "sweep_to", "points", *_AMPLITUDES)),
-}
 
 
 class UsageError(Exception):
@@ -136,11 +124,11 @@ def _product_ions(cfg: RunConfig) -> IonPairState:
     return IonPairState.product(u_plus, u_minus, l_plus, l_minus)
 
 
-def _run_single_pass(cfg: RunConfig) -> tuple[dict, list[str]]:
+def _run_single_pass(cfg: RunConfig) -> dict:
     u_plus, u_minus, l_plus, l_minus = _resolved_amplitudes(cfg)
     run = protocol.run_product(u_plus, u_minus, l_plus, l_minus)
     result = run.result
-    results = {
+    return {
         "inputs": {"u_plus": u_plus, "u_minus": u_minus, "l_plus": l_plus, "l_minus": l_minus},
         "probabilities": {
             "scatter_u": result.p_scatter_u,
@@ -156,19 +144,17 @@ def _run_single_pass(cfg: RunConfig) -> tuple[dict, list[str]]:
         "post_scatter_l": result.post_scatter_l,
         "fidelity_detect_lower_vs_psi_minus": run.fidelity_vs_psi_minus,
     }
-    return results, []
 
 
-def _run_iterate(cfg: RunConfig) -> tuple[dict, list[str]]:
+def _run_iterate(cfg: RunConfig) -> dict:
     ions = _product_ions(cfg)
     analytic = recycler.iterate_analytic(ions)
     numeric = recycler.iterate_numeric(ions, cfg.max_passes)
-    results = {
+    return {
         "analytic": _iteration(analytic),
         "numeric": _iteration(numeric),
         "abs_delta_p_entangled": abs(analytic.p_entangled - numeric.p_entangled),
     }
-    return results, []
 
 
 def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> float | None:
@@ -184,7 +170,7 @@ def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> floa
     return total
 
 
-def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
+def _run_mixed(cfg: RunConfig) -> dict:
     run = protocol.run_mixed(cfg.fidelity)
     iterated_entangled = 0.0
     iterated_scattered = 0.0
@@ -196,7 +182,7 @@ def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
         iterated_scattered += weight * part.p_scattered
         iterated_stuck += weight * part.p_stuck
         numeric_entangled += weight * recycler.iterate_numeric(ions, cfg.max_passes).p_entangled
-    results = {
+    return {
         "fidelity": cfg.fidelity,
         "single_pass": {
             "p_detect_lower": run.p_detect_lower,
@@ -212,14 +198,13 @@ def _run_mixed(cfg: RunConfig) -> tuple[dict, list[str]]:
             "p_entangled_numeric": numeric_entangled,
         },
     }
-    return results, []
 
 
-def _run_monte_carlo(cfg: RunConfig) -> tuple[dict, list[str]]:
+def _run_monte_carlo(cfg: RunConfig) -> dict:
     ions = _product_ions(cfg)
     sampled = recycler.monte_carlo(ions, cfg.trials, cfg.seed, cfg.max_passes)
     analytic = recycler.iterate_analytic(ions)
-    results = {
+    return {
         "trials": sampled.trials,
         "seed": sampled.seed,
         "frequencies": dict(sampled.frequencies),
@@ -232,7 +217,6 @@ def _run_monte_carlo(cfg: RunConfig) -> tuple[dict, list[str]]:
             "p_stuck": analytic.p_stuck,
         },
     }
-    return results, []
 
 
 def _p_protocol(protocol: str, value: float) -> float:
@@ -246,15 +230,14 @@ def _p_protocol(protocol: str, value: float) -> float:
     return recycler.iterate_analytic(ions).p_entangled
 
 
-def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
-    notes = list(_PRESETS[cfg.preset][1]) if cfg.preset is not None else []
+def _run_throughput(cfg: RunConfig) -> dict:
     if cfg.preset == "paper-cavity":
         finesse = _REFERENCE["finesse"].value
         length = _REFERENCE["cavity_length"].value
         formula_rate = efficiency.cavity_decay_rate(finesse, length)
         quoted = _REFERENCE["cavity_decay_rate_quoted"]
         emission = _REFERENCE["emission_probability_quoted"]
-        results = {
+        return {
             "preset": cfg.preset,
             "cavity": {
                 "finesse": finesse,
@@ -269,7 +252,6 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
                 },
             },
         }
-        return results, notes
     source_key = _SOURCE_KEY[cfg.protocol]
     value = getattr(cfg, source_key)
     report = efficiency.throughput(
@@ -279,7 +261,7 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
         photon_rate=cfg.photon_rate,
         outcoupling=cfg.outcoupling,
     )
-    results = {
+    return {
         "preset": cfg.preset,
         "source": {"protocol": cfg.protocol, source_key: value},
         "p_protocol": report.p_protocol,
@@ -290,7 +272,6 @@ def _run_throughput(cfg: RunConfig) -> tuple[dict, list[str]]:
         "p_total": report.p_total,
         "pairs_per_second": report.pairs_per_second,
     }
-    return results, notes
 
 
 def _mixed_point(point: RunConfig) -> dict:
@@ -318,7 +299,7 @@ _SWEEPS = {
 }
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[dict, list[str]]:
+def _run_sweep(cfg: RunConfig) -> dict:
     columns, evaluate = _SWEEPS[cfg.sweep_scenario]
     span = cfg.sweep_to - cfg.sweep_from
     rows = []
@@ -326,17 +307,19 @@ def _run_sweep(cfg: RunConfig) -> tuple[dict, list[str]]:
         value = cfg.sweep_to if index == cfg.points - 1 else cfg.sweep_from + span * index / (cfg.points - 1)
         point = evaluate(replace(cfg, **{cfg.axis: value}))
         rows.append({cfg.axis: value, **{column: point[column] for column in columns}})
-    results = {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
-    return results, []
+    return {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
 
 
-_RUNNERS = {
-    "single_pass": _run_single_pass,
-    "iterate": _run_iterate,
-    "mixed": _run_mixed,
-    "monte_carlo": _run_monte_carlo,
-    "throughput": _run_throughput,
-    "sweep": _run_sweep,
+#: Scenario -> (its runner, its --help line, the keys it takes as flags, in --help order).
+_SCENARIOS = {
+    "single_pass": (_run_single_pass, "one traversal, branch probabilities and post states", _AMPLITUDES),
+    "iterate": (_run_iterate, "recycling loop, closed form and round-by-round", (*_AMPLITUDES, "max_passes")),
+    "mixed": (_run_mixed, "two-component mixed input, single pass and iterated", ("fidelity", "max_passes")),
+    "monte_carlo": (_run_monte_carlo, "sampled recycling loop with standard errors", (
+        *_AMPLITUDES, "trials", "seed", "max_passes")),
+    "throughput": (_run_throughput, "entangled pairs per second", ("preset",)),
+    "sweep": (_run_sweep, "scan one axis and emit one row per point", (
+        "sweep_scenario", "axis", "sweep_from", "sweep_to", "points", *_AMPLITUDES)),
 }
 
 
@@ -424,7 +407,9 @@ def _typed(key: str, value, annotation: str):
     raise UsageError(f"{key} must be {expected}" + (" or null" if optional else ""))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="Simulate post-selected two-ion entanglement generation in a "
@@ -433,19 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
     kinds = {"int": int, "float": float}
     declared = {f.name: (f.metadata, kinds.get(f.type.partition(" | ")[0])) for f in fields(RunConfig)}
-    for name, (help_line, keys) in _SUBCOMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
+    for name, (_, help_line, keys) in _SCENARIOS.items():
+        command = sub.add_parser(name.replace("_", "-"), help=help_line)
         for key in (*keys, "format"):
             meta, kind = declared[key]
             command.add_argument(meta["flag"], dest=key, type=kind, choices=meta["choices"], help=meta["help"])
         command.add_argument("--config", help="JSON file with config keys; flags override")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; parsing leaves it unchanged."""
-    return build_parser()
 
 
 def _load_config_file(path: str) -> dict:
@@ -463,8 +442,6 @@ def _load_config_file(path: str) -> dict:
 
 def _validate(cfg: RunConfig, given: dict) -> RunConfig:
     """``cfg`` checked, and resolved to its preset's operating point; ``given`` holds the keys set."""
-    if cfg.scenario not in _RUNNERS:
-        raise UsageError(f"unknown scenario: {cfg.scenario}")
     if cfg.preset is not None:
         if cfg.scenario != "throughput":
             raise UsageError("preset is only available for throughput")
@@ -527,7 +504,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     config keys are rejected by name.  A throughput preset's fixed keys hold
     its operating point, so the report echoes the config it computes.
     """
-    namespace = _parser().parse_args(argv)
+    namespace = build_parser().parse_args(argv)
     given = {k: v for k, v in vars(namespace).items() if v is not None and k != "config"}
     given["scenario"] = given["scenario"].replace("-", "_")
     merged: dict = {}
@@ -541,26 +518,22 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def build_report(cfg: RunConfig) -> dict:
-    """Run the configured scenario and assemble the report envelope."""
-    results, notes = _RUNNERS[cfg.scenario](cfg)
+    """Run the configured scenario and assemble the report envelope; a preset gives the notes."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "scenario": cfg.scenario,
         "config": cfg.to_dict(),
-        "results": results,
-        "notes": notes,
+        "results": _SCENARIOS[cfg.scenario][0](cfg),
+        "notes": list(_PRESETS[cfg.preset][1]) if cfg.preset is not None else [],
     }
 
 
 def _render_csv(report: dict) -> str:
-    results = report["results"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(results["columns"])
-    for row in results["rows"]:
-        writer.writerow(_format_float(row[column]) for column in results["columns"])
-    return buffer.getvalue()
+    """RFC 4180 rows: key names and ``_format_float`` cells hold nothing that needs quoting."""
+    columns = report["results"]["columns"]
+    lines = [columns, *([_format_float(row[column]) for column in columns] for row in report["results"]["rows"])]
+    return "".join(",".join(line) + "\r\n" for line in lines)
 
 
 def _render_table(value, indent: str = "") -> list[str]:

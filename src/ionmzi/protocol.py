@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .elements import _ABSORPTION, _SPLITTER, beam_splitter, ion_interaction
+from .elements import _ABSORPTION, _SPLITTER, _SQRT_HALF, beam_splitter, ion_interaction
 from .states import (
     MODE_INDEX,
     MODES,
@@ -40,7 +40,6 @@ from .states import (
     abs2,
 )
 
-_SQRT_HALF = 2.0 ** -0.5
 #: Pair indices (3 * ion_u + ion_l) of |m+,m+>, |m+,m->, |m-,m+>, |m-,m->: IonPairState's field order.
 _METASTABLE_PAIRS = (0, 1, 3, 4)
 

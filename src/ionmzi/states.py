@@ -66,11 +66,6 @@ class IonId(Enum):
     ION_U = "ion_u"
     ION_L = "ion_l"
 
-    @property
-    def arm(self) -> Port:
-        """The interferometer arm this ion sits on."""
-        return Port.UPPER if self is IonId.ION_U else Port.LOWER
-
 
 class ModeKind(Enum):
     PROPAGATING = "propagating"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import pathlib
@@ -147,6 +149,17 @@ class TestParseConfig:
             (["iterate"], {"protocol": "none"}, "protocol must be mixed or product"),
             (["throughput"], {"preset": "paper", "fidelity": 0.5}, "unknown preset: paper"),
             (["throughput"], {"b2": 0.5}, "unknown config key: b2"),
+            (["iterate"], [0.5], "config file must hold a JSON object"),
+            (
+                ["sweep", "--axis", "a2", "--from", "0", "--to", "1", "--points", "3"],
+                None,
+                "sweep needs --scenario (single_pass, iterate or mixed)",
+            ),
+            (
+                ["sweep", "--scenario", "iterate", "--from", "0", "--to", "1", "--points", "3"],
+                None,
+                "sweep needs --axis (a2, alpha2 or fidelity)",
+            ),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -162,6 +175,14 @@ class TestParseConfig:
         assert code == 2
         assert out == ""
         assert err == f"error: {named}\n"
+
+    def test_missing_config_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "iterate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read config file: ") and str(path) in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "preset, key, value",
@@ -292,6 +313,26 @@ class TestReports:
         assert code == 0, err
         assert float(out.splitlines()[-1].split(",")[0]) == float(stop)
 
+    @pytest.mark.parametrize("points", [2, 1000])
+    @pytest.mark.parametrize("start, stop", [("0", "1"), ("1", "0"), ("5e-324", "1e-300")])
+    @pytest.mark.parametrize(
+        "scenario, axis",
+        [("single_pass", "a2"), ("single_pass", "alpha2"), ("iterate", "a2"), ("iterate", "alpha2"),
+         ("mixed", "fidelity")],
+    )
+    def test_csv_matches_csv_writer(self, scenario, axis, start, stop, points):
+        argv = ["sweep", "--scenario", scenario, "--axis", axis, "--from", start, "--to", stop, "--points", str(points)]
+        report = cli.build_report(parse_config(argv))
+        columns = report["results"]["columns"]
+        cells = [[format(row[column], ".17g") for column in columns] for row in report["results"]["rows"]]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        writer.writerows([columns, *cells])
+        assert cli.render(report, "csv") == buffer.getvalue()
+        assert len(cells) == points
+        texts = columns + [cell for line in cells for cell in line]
+        assert not any(char in text for text in texts for char in ',"\r\n')
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "mixed", "--fidelity", "0.7", "--format", "table")
         assert code == 0
@@ -301,7 +342,7 @@ class TestReports:
         def boom(cfg):
             raise ValueError("synthetic numeric failure")
 
-        monkeypatch.setitem(cli._RUNNERS, "iterate", boom)
+        monkeypatch.setitem(cli._SCENARIOS, "iterate", (boom, *cli._SCENARIOS["iterate"][1:]))
         code, _, err = run_cli(capsys, "iterate", "--a2", "0.5")
         assert code == 1
         assert "synthetic numeric failure" in err

@@ -52,10 +52,6 @@ class TestPhotonMode:
         assert mode.scattered_at is IonId.ION_U
         assert mode.port is None and mode.direction is None and mode.polarization is None
 
-    def test_arm_assignment(self):
-        assert IonId.ION_U.arm is Port.UPPER
-        assert IonId.ION_L.arm is Port.LOWER
-
 
 class TestNormalize:
     def test_scaling(self):
