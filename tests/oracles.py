@@ -7,6 +7,11 @@ coefficient.  ``reference_single_pass`` reads the branches straight off the
 composed state of ``evolve_single_pass``, so the scheduled ``single_pass``
 can be pinned against it bit for bit.  ``ensemble_fidelity`` scores a
 heralded (weight, ion-pair state) ensemble against a target.
+``reference_iterate_numeric`` and ``reference_monte_carlo`` are the two
+recycling walkers as they were before they shared one round table, each
+driving ``single_pass`` round by round itself; the walkers in
+``ionmzi.recycler`` are pinned against them by ``repr`` and by their
+number of ``single_pass`` calls.
 """
 
 from __future__ import annotations
@@ -20,6 +25,18 @@ from ionmzi.protocol import (
     PassResult,
     SingleIonState,
     evolve_single_pass,
+    single_pass,
+)
+from ionmzi.recycler import (
+    _GOLDEN,
+    _INV_2_53,
+    _MASK,
+    MAX_PASSES,
+    TRUNCATION_EPSILON,
+    IterationResult,
+    MonteCarloResult,
+    _mix64,
+    trial_stream_state,
 )
 from ionmzi.states import (
     MODES,
@@ -188,3 +205,121 @@ def random_product_amplitudes(rng) -> tuple[complex, complex, complex, complex]:
     u_plus, u_minus = pair()
     l_plus, l_minus = pair()
     return u_plus, u_minus, l_plus, l_minus
+
+
+def reference_iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> IterationResult:
+    """Explicit round-by-round propagation of the recycling loop.
+
+    Applies :func:`ionmzi.protocol.single_pass` to the renormalized
+    recycle branch each round, accumulating absolute branch masses.
+    Stops after ``max_passes`` rounds (``MAX_PASSES`` by default) or once
+    the weight that could still resolve falls below ``TRUNCATION_EPSILON``;
+    whatever recycled weight is not asymptotically stuck is reported as
+    truncated.
+    """
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
+    weight = 1.0
+    state: IonPairState | None = ions
+    p_entangled = 0.0
+    p_scattered = 0.0
+    post: IonPairState | None = None
+    distribution: dict[int, float] = {}
+    for rounds in range(1, max_passes + 1):
+        result = single_pass(state, enclosed=True)
+        detected = weight * result.p_detect_lower
+        if detected > 0.0:
+            distribution[rounds] = detected
+            p_entangled += detected
+        p_scattered += weight * (result.p_scatter_u + result.p_scatter_l)
+        if post is None and result.post_detect_lower is not None:
+            post = result.post_detect_lower
+        weight *= result.p_recycle
+        state = result.post_recycle
+        if state is None or weight <= 0.0:
+            state = None
+            break
+        if weight * (1.0 - abs2(state.c_mm)) < TRUNCATION_EPSILON:
+            break
+    if state is None:
+        p_stuck = 0.0
+        p_truncated = 0.0
+    else:
+        p_stuck = weight * abs2(state.c_mm)
+        p_truncated = max(weight - p_stuck, 0.0)
+    return IterationResult(
+        p_entangled=p_entangled,
+        p_scattered=p_scattered,
+        p_stuck=p_stuck,
+        p_truncated=p_truncated,
+        post_entangled=post,
+        passes_distribution=distribution,
+    )
+
+
+def reference_monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MAX_PASSES) -> MonteCarloResult:
+    """Sample the recycling loop outcome trial by trial.
+
+    Each trial walks the rounds, drawing the branch from the exact
+    per-round probabilities; the recycled ion state follows one
+    deterministic sequence, so the branch thresholds are tabulated once,
+    as the first trial reaches each round.  A trial still recycling after
+    ``max_passes`` rounds (or entering a round with no state left) resolves
+    against the stuck fraction of its current state, which is zero
+    without a state.  Deterministic for fixed (seed, trials).
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
+
+    # Per-round cumulative thresholds (scatter, +detect) and the state entering each round.
+    states: list[IonPairState | None] = [ions]
+    thresholds: list[tuple[float, float]] = []
+    post: IonPairState | None = None
+    counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
+    detections: dict[int, int] = {}
+    for trial in range(trials):
+        stream = trial_stream_state(seed, trial)
+        rounds = 0
+        while True:
+            current = states[rounds]
+            stream = (stream + _GOLDEN) & _MASK
+            draw = (_mix64(stream) >> 11) * _INV_2_53
+            if current is None or rounds >= max_passes:
+                stuck = abs2(current.c_mm) if current is not None else 0.0
+                counts["stuck" if draw < stuck else "truncated"] += 1
+                break
+            if rounds == len(thresholds):
+                result = single_pass(current, enclosed=True)
+                scatter = result.p_scatter_u + result.p_scatter_l
+                thresholds.append((scatter, scatter + result.p_detect_lower))
+                states.append(result.post_recycle)
+                if post is None and result.post_detect_lower is not None:
+                    post = result.post_detect_lower
+            scatter, detect = thresholds[rounds]
+            rounds += 1
+            if draw < scatter:
+                counts["scattered"] += 1
+                break
+            if draw < detect:
+                counts["entangled"] += 1
+                detections[rounds] = detections.get(rounds, 0) + 1
+                break
+            # mirror-port branch: recycle and go around again
+
+    inv = 1.0 / trials
+    frequencies = {name: count * inv for name, count in counts.items()}
+    standard_errors = {
+        name: math.sqrt(freq * (1.0 - freq) * inv) for name, freq in frequencies.items()
+    }
+    distribution = {index: detections[index] * inv for index in sorted(detections)}
+    return MonteCarloResult(
+        trials=trials,
+        seed=seed,
+        counts=counts,
+        frequencies=frequencies,
+        standard_errors=standard_errors,
+        passes_distribution=distribution,
+        post_entangled=post,
+    )

@@ -52,10 +52,14 @@ CASES = {
     "iterate_max_passes_5": (["iterate", "--a2", "0.7", "--max-passes", "5"], None),
     "iterate_max_passes_5_table": (["iterate", "--a2", "0.7", "--max-passes", "5", "--format", "table"], None),
     "iterate_default": (["iterate", "--a2", "0.7"], None),
+    "iterate_a2_0": (["iterate", "--a2", "0"], None),
+    "iterate_a2_1": (["iterate", "--a2", "1"], None),
+    "iterate_a2_1_alpha2_0": (["iterate", "--a2", "1", "--alpha2", "0"], None),
     "mixed": (["mixed", "--fidelity", "0.7"], None),
     "mixed_fidelity_0": (["mixed", "--fidelity", "0"], None),
     "mixed_fidelity_1": (["mixed", "--fidelity", "1"], None),
     "mixed_fidelity_1e-300": (["mixed", "--fidelity", "1e-300"], None),
+    "monte_carlo_a2_0": (["monte-carlo", "--a2", "0", "--trials", "50", "--seed", "3"], None),
     "monte_carlo_a2_003": (["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7"], None),
     "monte_carlo_a2_097": (["monte-carlo", "--a2", "0.97", "--trials", "500", "--seed", "7"], None),
     "monte_carlo_a2_097_table": (

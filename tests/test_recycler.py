@@ -23,12 +23,33 @@ from ionmzi.recycler import (
 )
 from ionmzi.states import ModeKind, PureState, equal_up_to_global_phase
 
-from oracles import random_ion_pair, random_product_amplitudes
+import oracles
+from oracles import (
+    random_ion_pair,
+    random_product_amplitudes,
+    reference_iterate_numeric,
+    reference_monte_carlo,
+)
 
 
 def balanced_product(a2: float) -> IonPairState:
     plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
     return IonPairState.product(plus, minus, plus, minus)
+
+
+def product(a2: float, alpha2: float) -> IonPairState:
+    """The CLI's unphased product: ``alpha2`` is the upper ion's m+ population, ``a2`` the lower's."""
+    return IonPairState.product(math.sqrt(alpha2), math.sqrt(1.0 - alpha2), math.sqrt(a2), math.sqrt(1.0 - a2))
+
+
+#: The walkers' equivalence grid: balanced products from all-stuck to all-scatter, the two
+#: one-sided products, and 20 random phased products.
+WALKER_STATES = [
+    *(balanced_product(a2) for a2 in (0.0, 0.03, 0.25, 0.5, 0.97, 1.0)),
+    product(1.0, 0.0),
+    product(0.0, 1.0),
+    *(IonPairState.product(*random_product_amplitudes(rng)) for rng in [np.random.default_rng(71)] * 20),
+]
 
 
 class TestIterateAnalytic:
@@ -178,6 +199,42 @@ class TestIterateNumeric:
             monte_carlo(ions, 10, seed=1, max_passes=0)
 
 
+class TestWalkersMatchReference:
+    """Both walkers give the ``repr`` and the ``single_pass`` calls of the reference walkers."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module) -> list[int]:
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return single_pass(*args, **kwargs)
+
+        monkeypatch.setattr(module, "single_pass", counting)
+        return calls
+
+    @pytest.mark.parametrize("index", range(len(WALKER_STATES)))
+    def test_iterate_numeric(self, monkeypatch, index):
+        ions = WALKER_STATES[index]
+        calls = self.count_calls(monkeypatch, recycler)
+        reference_calls = self.count_calls(monkeypatch, oracles)
+        for max_passes in range(1, 41):
+            assert repr(iterate_numeric(ions, max_passes)) == repr(reference_iterate_numeric(ions, max_passes))
+            assert len(calls) == len(reference_calls), max_passes
+
+    @pytest.mark.parametrize("index", range(len(WALKER_STATES)))
+    def test_monte_carlo(self, monkeypatch, index):
+        ions = WALKER_STATES[index]
+        calls = self.count_calls(monkeypatch, recycler)
+        reference_calls = self.count_calls(monkeypatch, oracles)
+        for trials in (1, 36, 300):
+            for seed in (0, 7):
+                for max_passes in (1, 2, 3, 5, 17, 30, 40):
+                    result = monte_carlo(ions, trials, seed, max_passes)
+                    assert repr(result) == repr(reference_monte_carlo(ions, trials, seed, max_passes))
+                    assert len(calls) == len(reference_calls), (trials, seed, max_passes)
+
+
 class TestPhysicalLoopConsistency:
     def test_mirror_loop_reproduces_folded_model(self):
         # drive the actual state through M2, a backward traversal and M1,
@@ -287,3 +344,18 @@ class TestMonteCarlo:
         counts, distribution = self.BUDGET_OUTCOMES[max_passes]
         assert result.counts == counts
         assert result.passes_distribution == distribution
+
+    def test_walk_ends_when_no_state_is_left(self, monkeypatch):
+        """At balanced ``a2`` 1 every photon scatters in round 1, so neither walker tabulates round 2."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return single_pass(*args, **kwargs)
+
+        monkeypatch.setattr(recycler, "single_pass", counting)
+        ions = balanced_product(1.0)
+        assert iterate_numeric(ions).p_scattered == pytest.approx(1.0, abs=1e-12)
+        assert len(calls) == 1
+        assert monte_carlo(ions, 50, seed=7).counts["scattered"] == 50
+        assert len(calls) == 2
