@@ -9,15 +9,17 @@ surviving q-weight itself quarters, so success converges geometrically
 to q/3.  The |m-,m-> component neither scatters nor fires the detector
 and survives every round ("stuck" weight).
 
-Both walkers stop at the pass budget ``max_passes`` (default
-``MAX_PASSES``; the numeric walk also once the weight that could still
-resolve falls below ``TRUNCATION_EPSILON``); the weight still recycling
-then splits into its stuck |m-,m-> fraction and the truncated remainder.
+Both walkers read one lazy round table, which ends at the pass budget
+``max_passes`` (default ``MAX_PASSES``) or after a round that leaves no
+state; the numeric walk also stops once the weight that could still resolve
+falls below ``TRUNCATION_EPSILON``.  The weight still recycling then splits
+into its stuck |m-,m-> fraction and the truncated remainder.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .protocol import IonPairState, single_pass
@@ -78,6 +80,21 @@ def iterate_analytic(ions: IonPairState) -> IterationResult:
     )
 
 
+def _rounds(ions: IonPairState, max_passes: int) -> Iterator[tuple[float, float, float, IonPairState | None, float]]:
+    """Lazy round table: per round (scatter, detect, recycle, detected state, recycled |m-,m-> weight)."""
+    if max_passes < 1:
+        raise ValueError("max_passes must be at least 1")
+    state = ions
+    for _ in range(max_passes):
+        result = single_pass(state, enclosed=True)
+        state = result.post_recycle
+        stuck = abs2(state.c_mm) if state is not None else 0.0
+        scatter = result.p_scatter_u + result.p_scatter_l
+        yield scatter, result.p_detect_lower, result.p_recycle, result.post_detect_lower, stuck
+        if state is None:
+            return
+
+
 def iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> IterationResult:
     """Explicit round-by-round propagation of the recycling loop.
 
@@ -88,41 +105,28 @@ def iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> Iterati
     whatever recycled weight is not asymptotically stuck is reported as
     truncated.
     """
-    if max_passes < 1:
-        raise ValueError("max_passes must be at least 1")
     weight = 1.0
-    state: IonPairState | None = ions
     p_entangled = 0.0
     p_scattered = 0.0
     post: IonPairState | None = None
     distribution: dict[int, float] = {}
-    for rounds in range(1, max_passes + 1):
-        result = single_pass(state, enclosed=True)
-        detected = weight * result.p_detect_lower
+    for rounds, (scatter, detect, recycle, herald, stuck) in enumerate(_rounds(ions, max_passes), 1):
+        detected = weight * detect
         if detected > 0.0:
             distribution[rounds] = detected
             p_entangled += detected
-        p_scattered += weight * (result.p_scatter_u + result.p_scatter_l)
-        if post is None and result.post_detect_lower is not None:
-            post = result.post_detect_lower
-        weight *= result.p_recycle
-        state = result.post_recycle
-        if state is None or weight <= 0.0:
-            state = None
+        p_scattered += weight * scatter
+        post = herald if post is None else post
+        # With no state left the recycle mass is exactly 0.0, so the walk stops here.
+        weight *= recycle
+        if weight * (1.0 - stuck) < TRUNCATION_EPSILON:
             break
-        if weight * (1.0 - abs2(state.c_mm)) < TRUNCATION_EPSILON:
-            break
-    if state is None:
-        p_stuck = 0.0
-        p_truncated = 0.0
-    else:
-        p_stuck = weight * abs2(state.c_mm)
-        p_truncated = max(weight - p_stuck, 0.0)
+    p_stuck = weight * stuck
     return IterationResult(
         p_entangled=p_entangled,
         p_scattered=p_scattered,
         p_stuck=p_stuck,
-        p_truncated=p_truncated,
+        p_truncated=max(weight - p_stuck, 0.0),
         post_entangled=post,
         passes_distribution=distribution,
     )
@@ -187,19 +191,17 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
 
     Each trial walks the rounds, drawing the branch from the exact
     per-round probabilities; the recycled ion state follows one
-    deterministic sequence, so the branch thresholds are tabulated once,
-    as the first trial reaches each round.  A trial still recycling after
-    ``max_passes`` rounds (or entering a round with no state left) resolves
-    against the stuck fraction of its current state, which is zero
-    without a state.  Deterministic for fixed (seed, trials).
+    deterministic sequence, so the branch thresholds are read once from
+    the round table, as the first trial reaches each round.  A trial still
+    recycling when the table ends resolves against the stuck fraction of
+    the last recycled state, which is zero without a state.  Deterministic
+    for fixed (seed, trials).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if max_passes < 1:
-        raise ValueError("max_passes must be at least 1")
 
-    # Per-round cumulative thresholds (scatter, +detect) and the state entering each round.
-    states: list[IonPairState | None] = [ions]
+    # Per-round cumulative thresholds (scatter, +detect); past the table's end, (-1.0, stuck).
+    rows = _rounds(ions, max_passes)
     thresholds: list[tuple[float, float]] = []
     post: IonPairState | None = None
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
@@ -208,22 +210,21 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
         stream = trial_stream_state(seed, trial)
         rounds = 0
         while True:
-            current = states[rounds]
             stream = (stream + _GOLDEN) & _MASK
             draw = (_mix64(stream) >> 11) * _INV_2_53
-            if current is None or rounds >= max_passes:
-                stuck = abs2(current.c_mm) if current is not None else 0.0
-                counts["stuck" if draw < stuck else "truncated"] += 1
-                break
             if rounds == len(thresholds):
-                result = single_pass(current, enclosed=True)
-                scatter = result.p_scatter_u + result.p_scatter_l
-                thresholds.append((scatter, scatter + result.p_detect_lower))
-                states.append(result.post_recycle)
-                if post is None and result.post_detect_lower is not None:
-                    post = result.post_detect_lower
+                row = next(rows, None)
+                if row is None:
+                    thresholds.append((-1.0, stuck))
+                else:
+                    scatter, detect, _, herald, stuck = row
+                    thresholds.append((scatter, scatter + detect))
+                    post = herald if post is None else post
             scatter, detect = thresholds[rounds]
             rounds += 1
+            if scatter < 0.0:
+                counts["stuck" if draw < detect else "truncated"] += 1
+                break
             if draw < scatter:
                 counts["scattered"] += 1
                 break

@@ -182,13 +182,9 @@ class PureState:
         if len(self._amps) < len(merged) and any(amp != amp for amp in merged.values()):
             raise ValueError("amplitude is not a number")
 
-    @property
-    def terms(self) -> tuple[tuple[BasisState, complex], ...]:
-        basis = kets()
-        return tuple((basis[index], amp) for index, amp in self._amps.items())
-
     def items(self) -> Iterator[tuple[BasisState, complex]]:
-        return iter(self.terms)
+        basis = kets()
+        return ((basis[index], amp) for index, amp in self._amps.items())
 
     def indexed_items(self) -> ItemsView[int, complex]:
         """(basis index, amplitude) pairs in canonical order."""
