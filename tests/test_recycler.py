@@ -52,6 +52,18 @@ WALKER_STATES = [
 ]
 
 
+def count_single_pass_calls(monkeypatch, module) -> list[int]:
+    """Route ``module.single_pass`` through a counter; the returned list grows by one per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return single_pass(*args, **kwargs)
+
+    monkeypatch.setattr(module, "single_pass", counting)
+    return calls
+
+
 class TestIterateAnalytic:
     def test_matched_product_at_point_seven(self):
         result = iterate_analytic(balanced_product(0.7))
@@ -202,22 +214,11 @@ class TestIterateNumeric:
 class TestWalkersMatchReference:
     """Both walkers give the ``repr`` and the ``single_pass`` calls of the reference walkers."""
 
-    @staticmethod
-    def count_calls(monkeypatch, module) -> list[int]:
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return single_pass(*args, **kwargs)
-
-        monkeypatch.setattr(module, "single_pass", counting)
-        return calls
-
     @pytest.mark.parametrize("index", range(len(WALKER_STATES)))
     def test_iterate_numeric(self, monkeypatch, index):
         ions = WALKER_STATES[index]
-        calls = self.count_calls(monkeypatch, recycler)
-        reference_calls = self.count_calls(monkeypatch, oracles)
+        calls = count_single_pass_calls(monkeypatch, recycler)
+        reference_calls = count_single_pass_calls(monkeypatch, oracles)
         for max_passes in range(1, 41):
             assert repr(iterate_numeric(ions, max_passes)) == repr(reference_iterate_numeric(ions, max_passes))
             assert len(calls) == len(reference_calls), max_passes
@@ -225,8 +226,8 @@ class TestWalkersMatchReference:
     @pytest.mark.parametrize("index", range(len(WALKER_STATES)))
     def test_monte_carlo(self, monkeypatch, index):
         ions = WALKER_STATES[index]
-        calls = self.count_calls(monkeypatch, recycler)
-        reference_calls = self.count_calls(monkeypatch, oracles)
+        calls = count_single_pass_calls(monkeypatch, recycler)
+        reference_calls = count_single_pass_calls(monkeypatch, oracles)
         for trials in (1, 36, 300):
             for seed in (0, 7):
                 for max_passes in (1, 2, 3, 5, 17, 30, 40):
@@ -347,15 +348,12 @@ class TestMonteCarlo:
 
     def test_walk_ends_when_no_state_is_left(self, monkeypatch):
         """At balanced ``a2`` 1 every photon scatters in round 1, so neither walker tabulates round 2."""
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return single_pass(*args, **kwargs)
-
-        monkeypatch.setattr(recycler, "single_pass", counting)
+        calls = count_single_pass_calls(monkeypatch, recycler)
         ions = balanced_product(1.0)
         assert iterate_numeric(ions).p_scattered == pytest.approx(1.0, abs=1e-12)
         assert len(calls) == 1
         assert monte_carlo(ions, 50, seed=7).counts["scattered"] == 50
         assert len(calls) == 2
+        # A trial past the last row would need a draw in the rounding gap below 1, so read the table itself.
+        assert [row[2:] for row in recycler._rounds(ions, 30)] == [(0.0, None, 0.0)]
+        assert len(calls) == 3
