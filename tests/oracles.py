@@ -11,20 +11,28 @@ heralded (weight, ion-pair state) ensemble against a target.
 recycling walkers as they were before they shared one round table, each
 driving ``single_pass`` round by round itself; the walkers in
 ``ionmzi.recycler`` are pinned against them by ``repr`` and by their
-number of ``single_pass`` calls.
+number of ``single_pass`` calls.  ``reference_element_tables`` and
+``reference_schedule`` are the element tables and the single-pass schedule
+as they were built with their own ket-index arithmetic, before ``states``
+alone knew the ket layout; the tables in ``ionmzi.elements`` and the
+schedule in ``ionmzi.protocol`` are pinned equal to them.
 """
 
 from __future__ import annotations
 
 import math
 
+from ionmzi.elements import _ABSORBING_LEVEL, _OTHER_PORT, _REFLECTION_PHASE, _SQRT_HALF
 from ionmzi.protocol import (
     ENTRY_LOWER_FORWARD,
+    ENTRY_UPPER_BACKWARD,
     Ensemble,
     IonPairState,
     PassResult,
     SingleIonState,
+    _replay,
     evolve_single_pass,
+    propagate,
     single_pass,
 )
 from ionmzi.recycler import (
@@ -39,12 +47,15 @@ from ionmzi.recycler import (
     trial_stream_state,
 )
 from ionmzi.states import (
+    LEVEL_INDEX,
+    MODE_INDEX,
     MODES,
     PAIRS,
     BasisState,
     Direction,
     IonId,
     IonLevel,
+    ModeKind,
     PhotonMode,
     Polarization,
     Port,
@@ -323,3 +334,77 @@ def reference_monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes
         passes_distribution=distribution,
         post_entangled=post,
     )
+
+
+def reference_element_tables() -> tuple[list, dict[IonId, list[int]]]:
+    """Per basis index: the splitter's (crossed-port ket, reflection phase), None off
+    the beam; and each ion's absorption target, the ket itself where it absorbs nothing.
+    """
+    size = len(MODES) * PAIRS
+    splitter: list[tuple[int, complex] | None] = [None] * size
+    absorption = {IonId.ION_U: list(range(size)), IonId.ION_L: list(range(size))}
+    for here, mode in enumerate(MODES):
+        if mode.kind is not ModeKind.PROPAGATING:
+            continue
+        crossed_mode = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
+        crossed = MODE_INDEX[crossed_mode]
+        ion = IonId.ION_U if mode.port is Port.UPPER else IonId.ION_L
+        scattered = MODE_INDEX[PhotonMode.scattered(ion)]
+        absorbing = LEVEL_INDEX[_ABSORBING_LEVEL[mode.polarization]]
+        weight = 3 if ion is IonId.ION_U else 1  # place value of this ion's level in a pair index
+        for pair in range(PAIRS):
+            splitter[here * PAIRS + pair] = (crossed * PAIRS + pair, _REFLECTION_PHASE[mode.direction])
+            if pair // weight % 3 == absorbing:  # only this ion's level changes, to the ground level
+                dropped = pair + weight * (_GROUND - absorbing)
+                absorption[ion][here * PAIRS + pair] = scattered * PAIRS + dropped
+    return splitter, absorption
+
+
+_GROUND = LEVEL_INDEX[IonLevel.G]
+_SPLITTER, _ABSORPTION = reference_element_tables()
+
+#: Pair indices (3 * ion_u + ion_l) of |m+,m+>, |m+,m->, |m-,m+>, |m-,m->: IonPairState's field order.
+_METASTABLE_PAIRS = (0, 1, 3, 4)
+
+
+def reference_schedule(photon_pol: Polarization, entry: tuple[Port, Direction]) -> tuple[tuple, tuple]:
+    """One traversal as stages of ket moves read from the element tables, and its readout.
+
+    A stage lists its output kets in index order, each as (input slot, factors applied in turn)
+    in the order its element map appends them.  Checked at first use against :func:`propagate`.
+    """
+    if entry not in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+        raise ValueError("photon must enter at a mirror-side port")
+    base = PAIRS * MODE_INDEX[PhotonMode.propagating(*entry, photon_pol)]
+    inputs = kets = [base + pair for pair in _METASTABLE_PAIRS]
+
+    def split(ket: int) -> tuple:  # off the beam a ket passes through
+        crossed, phase = _SPLITTER[ket] or (ket, None)
+        return ((ket, ()),) if phase is None else ((crossed, (_SQRT_HALF,)), (ket, (_SQRT_HALF, phase)))
+
+    stages: list[tuple] = []
+    for moves in (lambda ket: ((ket, ()),), split, lambda ket: ((_ABSORPTION[IonId.ION_U][ket], ()),),
+                  lambda ket: ((_ABSORPTION[IonId.ION_L][ket], ()),), split):
+        merged: dict[int, list] = {}
+        for slot, ket in enumerate(kets):
+            for target, factors in moves(ket):
+                merged.setdefault(target, []).append((slot, factors))
+        if len(stages) > 1 and all(len(terms) == 1 and not terms[0][1] for terms in merged.values()):
+            # a one-to-one move (an ion map) keeps merged, pruned amplitudes: reorder the stage before
+            before = stages.pop()
+            merged = {target: before[terms[0][0]] for target, terms in merged.items()}
+        kets = sorted(merged)
+        stages.append(tuple(tuple(merged[ket]) for ket in kets))
+    readout = []  # branches: scatter at U, scatter at L, upper port, lower port
+    for ket in kets:
+        mode, pair = MODES[ket // PAIRS], ket % PAIRS
+        if mode.scattered_at is None:  # a port: the pair's place in IonPairState
+            readout.append((2 if mode.port is Port.UPPER else 3, _METASTABLE_PAIRS.index(pair)))
+        else:  # a scatter site: the surviving ion's level
+            readout.append((0, pair % 3) if mode.scattered_at is IonId.ION_U else (1, pair // 3))
+    for start in inputs:
+        final = _replay(stages, [complex(ket == start) for ket in inputs])
+        composed = propagate(PureState(indexed=[(start, 1.0)])).indexed_items()
+        if [(ket, amp) for ket, amp in zip(kets, final) if amp] != list(composed):
+            raise RuntimeError("single-pass schedule disagrees with the element maps")
+    return tuple(stages), tuple(readout)

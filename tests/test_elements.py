@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ionmzi import elements
 from ionmzi.elements import (
     MirrorId,
     beam_splitter,
@@ -20,7 +21,7 @@ from ionmzi.states import (
     PureState,
 )
 
-from oracles import SQRT_HALF, ket
+from oracles import SQRT_HALF, ket, reference_element_tables
 
 M_P, M_M, G = IonLevel.M_PLUS, IonLevel.M_MINUS, IonLevel.G
 SP = Polarization.SIGMA_PLUS
@@ -49,6 +50,11 @@ def random_propagating_state(
                     terms[ket(mode(port, direction, pol), ion_u, ion_l)] = amp
     state = PureState(terms)
     return PureState({k: v / state.norm() for k, v in state.items()})
+
+
+class TestElementTables:
+    def test_tables_match_reference(self):
+        assert (elements._SPLITTER, elements._ABSORPTION) == reference_element_tables()
 
 
 class TestBeamSplitter:

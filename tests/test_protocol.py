@@ -36,6 +36,7 @@ from oracles import (
     random_edge_ion_pair,
     random_ion_pair,
     random_product_amplitudes,
+    reference_schedule,
     reference_single_pass,
 )
 
@@ -199,6 +200,11 @@ class TestSchedule:
                         assert repr(single_pass(ions, pol, entry, enclosed)) == repr(
                             reference_single_pass(ions, pol, entry, enclosed)
                         )
+
+    @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
+    def test_schedule_matches_reference(self, pol, entry):
+        assert protocol._schedule.__wrapped__(pol, entry) == reference_schedule(pol, entry)
 
     def test_first_use_checks_the_schedule_against_the_composed_maps(self, monkeypatch):
         composed = protocol.propagate

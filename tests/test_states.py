@@ -11,6 +11,7 @@ from ionmzi.states import (
     PhotonMode,
     Port,
     PureState,
+    basis_index,
     equal_up_to_global_phase,
     inner_product,
     normalize,
@@ -51,6 +52,14 @@ class TestPhotonMode:
         mode = PhotonMode.scattered(IonId.ION_U)
         assert mode.scattered_at is IonId.ION_U
         assert mode.port is None and mode.direction is None and mode.polarization is None
+
+
+class TestBasisIndex:
+    def test_every_index_round_trips(self):
+        for index in range(99):
+            ((basis, amp),) = PureState(indexed=[(index, 1.0)]).items()
+            assert basis_index(basis) == index
+            assert amp == 1.0
 
 
 class TestNormalize:
