@@ -17,10 +17,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .states import (
-    LEVEL_INDEX,
-    MODE_INDEX,
-    MODES,
-    PAIRS,
+    KETS,
+    BasisState,
     Direction,
     IonId,
     IonLevel,
@@ -30,6 +28,7 @@ from .states import (
     Port,
     PureState,
     abs2,
+    basis_index,
     normalize,
 )
 
@@ -62,27 +61,24 @@ def _element_tables() -> tuple[list, dict[IonId, list[int]]]:
     """Per basis index: the splitter's (crossed-port ket, reflection phase), None off
     the beam; and each ion's absorption target, the ket itself where it absorbs nothing.
     """
-    size = len(MODES) * PAIRS
-    splitter: list[tuple[int, complex] | None] = [None] * size
-    absorption = {IonId.ION_U: list(range(size)), IonId.ION_L: list(range(size))}
-    for here, mode in enumerate(MODES):
+    splitter: list[tuple[int, complex] | None] = [None] * len(KETS)
+    absorption = {IonId.ION_U: list(range(len(KETS))), IonId.ION_L: list(range(len(KETS)))}
+    for here, ket in enumerate(KETS):
+        mode = ket.photon
         if mode.kind is not ModeKind.PROPAGATING:
             continue
-        crossed_mode = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
-        crossed = MODE_INDEX[crossed_mode]
-        ion = IonId.ION_U if mode.port is Port.UPPER else IonId.ION_L
-        scattered = MODE_INDEX[PhotonMode.scattered(ion)]
-        absorbing = LEVEL_INDEX[_ABSORBING_LEVEL[mode.polarization]]
-        weight = 3 if ion is IonId.ION_U else 1  # place value of this ion's level in a pair index
-        for pair in range(PAIRS):
-            splitter[here * PAIRS + pair] = (crossed * PAIRS + pair, _REFLECTION_PHASE[mode.direction])
-            if pair // weight % 3 == absorbing:  # only this ion's level changes, to the ground level
-                dropped = pair + weight * (_GROUND - absorbing)
-                absorption[ion][here * PAIRS + pair] = scattered * PAIRS + dropped
+        crossed = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
+        splitter[here] = (basis_index(BasisState(crossed, ket.ion_u, ket.ion_l)), _REFLECTION_PHASE[mode.direction])
+        # the arm's ion absorbs from its addressed level and drops to the ground level
+        if mode.port is Port.UPPER and ket.ion_u is _ABSORBING_LEVEL[mode.polarization]:
+            dropped = BasisState(PhotonMode.scattered(IonId.ION_U), IonLevel.G, ket.ion_l)
+            absorption[IonId.ION_U][here] = basis_index(dropped)
+        elif mode.port is Port.LOWER and ket.ion_l is _ABSORBING_LEVEL[mode.polarization]:
+            dropped = BasisState(PhotonMode.scattered(IonId.ION_L), ket.ion_u, IonLevel.G)
+            absorption[IonId.ION_L][here] = basis_index(dropped)
     return splitter, absorption
 
 
-_GROUND = LEVEL_INDEX[IonLevel.G]
 _SPLITTER, _ABSORPTION = _element_tables()
 
 
@@ -137,16 +133,15 @@ def mirror(state: PureState, at: MirrorId) -> PureState:
     vacuum terms pass through.
     """
     port, outward = _MIRROR_STATION[at]
-    out: list[tuple[int, complex]] = []
-    for index, amp in state.indexed_items():
-        mode = MODES[index // PAIRS]
+    out: list[tuple[BasisState, complex]] = []
+    for ket, amp in state.items():
+        mode = ket.photon
         if mode.kind is ModeKind.PROPAGATING:
             if mode.port is not port or mode.direction is not outward:
                 raise ValueError("photon escaped cavity")
-            back = PhotonMode.propagating(port, _FLIP[outward], mode.polarization)
-            index = PAIRS * MODE_INDEX[back] + index % PAIRS
-        out.append((index, amp))
-    return PureState(indexed=out)
+            ket = BasisState(PhotonMode.propagating(port, _FLIP[outward], mode.polarization), ket.ion_u, ket.ion_l)
+        out.append((ket, amp))
+    return PureState(out)
 
 
 def detect(state: PureState, port: Port) -> tuple[float, PureState]:
@@ -156,14 +151,10 @@ def detect(state: PureState, port: Port) -> tuple[float, PureState]:
     with the photon consumed (set to vacuum).  ``state`` is assumed
     normalized; scattered terms never reach the detectors.
     """
-    vacuum = PAIRS * MODE_INDEX[PhotonMode.vacuum()]
-    picked = [
-        (vacuum + index % PAIRS, amp)
-        for index, amp in state.indexed_items()
-        if MODES[index // PAIRS].port is port
-    ]
+    vacuum = PhotonMode.vacuum()
+    picked = [(BasisState(vacuum, ket.ion_u, ket.ion_l), amp) for ket, amp in state.items() if ket.photon.port is port]
     prob = sum(abs2(amp) for _, amp in picked)
     if prob < 1e-12:
         raise ValueError("no support at detector")
-    _, post = normalize(PureState(indexed=picked))
+    _, post = normalize(PureState(picked))
     return prob, post

@@ -14,9 +14,12 @@ lower ion), is
 * the upper output carries ``(i/2) (c_mp |m-,m+> + c_pm |m+,m-> + 2 c_mm |m-,m->)``,
 * the lower output carries ``(1/2) (c_mp |m-,m+> - c_pm |m+,m->)``.
 
-``single_pass`` never evaluates these formulas.  It replays a schedule read
-from the element tables, checked against the composed element maps at first
-use, and is pinned against an independent hand-derived oracle in the test suite.
+``single_pass`` never evaluates these formulas.  It replays a schedule of three
+stages composed from the element tables (the input, the first splitter with
+both ion maps, the second splitter), checked against the composed element maps
+at first use, and is pinned against an independent hand-derived oracle in the
+test suite.  Kets are built and read by their levels; only ``states`` knows
+how a ket index is laid out.
 """
 
 from __future__ import annotations
@@ -26,22 +29,25 @@ from dataclasses import dataclass
 
 from .elements import _ABSORPTION, _SPLITTER, _SQRT_HALF, beam_splitter, ion_interaction
 from .states import (
-    MODE_INDEX,
-    MODES,
+    KETS,
     NORM_TOL,
-    PAIRS,
     PRUNE_EPS,
+    BasisState,
     Direction,
     IonId,
+    IonLevel,
     PhotonMode,
     Polarization,
     Port,
     PureState,
     abs2,
+    basis_index,
 )
 
-#: Pair indices (3 * ion_u + ion_l) of |m+,m+>, |m+,m->, |m-,m+>, |m-,m->: IonPairState's field order.
-_METASTABLE_PAIRS = (0, 1, 3, 4)
+#: One ion's metastable levels in SingleIonState's field order.
+_ION_LEVELS = (IonLevel.M_PLUS, IonLevel.M_MINUS)
+#: (upper, lower) levels of |m+,m+>, |m+,m->, |m-,m+>, |m-,m->: IonPairState's field order.
+_PAIR_LEVELS = tuple((upper, lower) for upper in _ION_LEVELS for lower in _ION_LEVELS)
 
 #: Photon entry stations that a mirror could close off.
 ENTRY_LOWER_FORWARD = (Port.LOWER, Direction.FORWARD)
@@ -129,9 +135,9 @@ def bell_phi_plus() -> IonPairState:
 
 def ion_pair_pure_state(ions: IonPairState, photon: PhotonMode | None = None) -> PureState:
     """Joint PureState of a photon mode (vacuum by default) with an ion pair."""
-    base = PAIRS * MODE_INDEX[photon if photon is not None else PhotonMode.vacuum()]
+    photon = photon if photon is not None else PhotonMode.vacuum()
     amps = (ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm)
-    return PureState(indexed=((base + pair, amp) for pair, amp in zip(_METASTABLE_PAIRS, amps)))
+    return PureState((BasisState(photon, *levels), amp) for levels, amp in zip(_PAIR_LEVELS, amps))
 
 
 def propagate(state: PureState) -> PureState:
@@ -149,11 +155,14 @@ def evolve_single_pass(
     entry: Entry = ENTRY_LOWER_FORWARD,
 ) -> PureState:
     """Full joint state after one traversal, before any detection."""
+    return propagate(ion_pair_pure_state(ions, _entry_photon(photon_pol, entry)))
+
+
+def _entry_photon(photon_pol: Polarization, entry: Entry) -> PhotonMode:
+    """The photon mode entering at ``entry``, which must be a mirror-side station."""
     if entry not in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
         raise ValueError("photon must enter at a mirror-side port")
-    port, direction = entry
-    photon = PhotonMode.propagating(port, direction, photon_pol)
-    return propagate(ion_pair_pure_state(ions, photon))
+    return PhotonMode.propagating(*entry, photon_pol)
 
 
 @dataclass(frozen=True)
@@ -182,40 +191,35 @@ class PassResult:
 
 @functools.cache
 def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
-    """One traversal as stages of ket moves read from the element tables, and its readout.
+    """One traversal as stages of ket moves composed from the element tables, and its readout.
 
-    A stage lists its output kets in index order, each as (input slot, factors applied in turn)
-    in the order its element map appends them.  Checked at first use against :func:`propagate`.
+    Three stages: the pruned input, the first splitter with each target moved through both ion
+    maps (which move kets one to one), and the second splitter.  A stage lists its output kets in
+    index order, each as (input slot, factors applied in turn) in the order its element map
+    appends them.  Checked at first use against :func:`propagate`.
     """
-    if entry not in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
-        raise ValueError("photon must enter at a mirror-side port")
-    base = PAIRS * MODE_INDEX[PhotonMode.propagating(*entry, photon_pol)]
-    inputs = kets = [base + pair for pair in _METASTABLE_PAIRS]
-
-    def split(ket: int) -> tuple:  # off the beam a ket passes through
-        crossed, phase = _SPLITTER[ket] or (ket, None)
-        return ((ket, ()),) if phase is None else ((crossed, (_SQRT_HALF,)), (ket, (_SQRT_HALF, phase)))
-
-    stages: list[tuple] = []
-    for moves in (lambda ket: ((ket, ()),), split, lambda ket: ((_ABSORPTION[IonId.ION_U][ket], ()),),
-                  lambda ket: ((_ABSORPTION[IonId.ION_L][ket], ()),), split):
+    photon = _entry_photon(photon_pol, entry)
+    inputs = [basis_index(BasisState(photon, *levels)) for levels in _PAIR_LEVELS]
+    kets = sorted(inputs)
+    stages = [tuple(((inputs.index(ket), ()),) for ket in kets)]  # the input, pruned as PureState prunes
+    through_ions = [_ABSORPTION[IonId.ION_L][ket] for ket in _ABSORPTION[IonId.ION_U]]
+    for moved in (through_ions, range(len(KETS))):  # each splitter, then where its targets move
         merged: dict[int, list] = {}
         for slot, ket in enumerate(kets):
-            for target, factors in moves(ket):
-                merged.setdefault(target, []).append((slot, factors))
-        if len(stages) > 1 and all(len(terms) == 1 and not terms[0][1] for terms in merged.values()):
-            # a one-to-one move (an ion map) keeps merged, pruned amplitudes: reorder the stage before
-            before = stages.pop()
-            merged = {target: before[terms[0][0]] for target, terms in merged.items()}
+            crossed, phase = _SPLITTER[ket] or (ket, None)  # off the beam a ket passes through
+            moves = ((ket, ()),) if phase is None else ((crossed, (_SQRT_HALF,)), (ket, (_SQRT_HALF, phase)))
+            for target, factors in moves:
+                merged.setdefault(moved[target], []).append((slot, factors))
         kets = sorted(merged)
         stages.append(tuple(tuple(merged[ket]) for ket in kets))
     readout = []  # branches: scatter at U, scatter at L, upper port, lower port
-    for ket in kets:
-        mode, pair = MODES[ket // PAIRS], ket % PAIRS
-        if mode.scattered_at is None:  # a port: the pair's place in IonPairState
-            readout.append((2 if mode.port is Port.UPPER else 3, _METASTABLE_PAIRS.index(pair)))
+    for ket in map(KETS.__getitem__, kets):
+        site = ket.photon.scattered_at
+        if site is None:  # a port: the levels' place in IonPairState
+            readout.append((2 if ket.photon.port is Port.UPPER else 3, _PAIR_LEVELS.index((ket.ion_u, ket.ion_l))))
         else:  # a scatter site: the surviving ion's level
-            readout.append((0, pair % 3) if mode.scattered_at is IonId.ION_U else (1, pair // 3))
+            branch, survivor = (0, ket.ion_l) if site is IonId.ION_U else (1, ket.ion_u)
+            readout.append((branch, _ION_LEVELS.index(survivor)))
     for start in inputs:
         final = _replay(stages, [complex(ket == start) for ket in inputs])
         composed = propagate(PureState(indexed=[(start, 1.0)])).indexed_items()

@@ -9,9 +9,11 @@ amplitudes, held in canonical form (pruned below ``PRUNE_EPS``, sorted by
 basis index) so that equality is structural.
 
 The joint space is small and fixed: 11 photon modes times 9 ion-level
-pairs, 99 kets in all.  Each ket has one integer index (``kets()``), and a
-state stores its amplitudes keyed by that index; ``BasisState`` and
-``PhotonMode`` remain the public view of a ket.
+pairs, 99 kets in all.  A ket's integer index is its place in ``KETS``, and
+a state stores its amplitudes keyed by that index; ``BasisState`` and
+``PhotonMode`` remain the public view of a ket.  Only this module knows
+how an index is laid out: other modules read a ket through ``KETS`` and
+find one through ``basis_index``.
 
 Global phase is never divided out automatically: ``normalize`` rescales by
 a positive real factor only, and ray equality is a separate comparison
@@ -20,7 +22,6 @@ a positive real factor only, and ray equality is a separate comparison
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -137,19 +138,14 @@ MODES: tuple[PhotonMode, ...] = (
 PAIRS = 9
 MODE_INDEX = {mode: index for index, mode in enumerate(MODES)}
 LEVEL_INDEX = {level: index for index, level in enumerate(IonLevel)}
-
-
-@functools.cache
-def kets() -> tuple[BasisState, ...]:
-    """The basis kets in index order, which is the canonical term order.
-
-    Built on first use: only the ``BasisState`` view of a state needs them.
-    """
-    return tuple(BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel)
+#: The basis kets in index order, which is the canonical term order.
+KETS: tuple[BasisState, ...] = tuple(
+    BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel
+)
 
 
 def basis_index(basis: BasisState) -> int:
-    """Position of ``basis`` in :func:`kets`."""
+    """Position of ``basis`` in ``KETS``."""
     return MODE_INDEX[basis.photon] * PAIRS + 3 * LEVEL_INDEX[basis.ion_u] + LEVEL_INDEX[basis.ion_l]
 
 
@@ -183,8 +179,7 @@ class PureState:
             raise ValueError("amplitude is not a number")
 
     def items(self) -> Iterator[tuple[BasisState, complex]]:
-        basis = kets()
-        return ((basis[index], amp) for index, amp in self._amps.items())
+        return ((KETS[index], amp) for index, amp in self._amps.items())
 
     def indexed_items(self) -> ItemsView[int, complex]:
         """(basis index, amplitude) pairs in canonical order."""
