@@ -15,6 +15,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -580,7 +581,18 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    sys.stdout.write(text)
+    try:
+        # An unbuffered text layer drops the rest of a write that a closing reader cuts short, so the
+        # last character goes out on its own: its write then fails where the short one went unseen.
+        sys.stdout.write(text[:-1])
+        sys.stdout.write(text[-1:])
+        sys.stdout.flush()
+    except OSError as err:  # a full device or a closed pipe
+        print(f"error: cannot write report: {err}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # what is left in the buffer now flushes at exit without failing
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -472,3 +472,39 @@ def test_runtime_imports_only_the_standard_library():
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout == "[0, 0, 0, 0, 0, 0] []\n"
+
+
+def _cli_process(argv: list[str], unbuffered: bool, stdout) -> subprocess.Popen:
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "ionmzi", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+#: A CSV report of about 500 kB, far more than a pipe holds before its reader must read.
+_LARGE_SWEEP = ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "5000"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "target",
+    [
+        pytest.param("full-device", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+        "closed-pipe",
+    ],
+)
+def test_unwritable_output_is_one_error_line(target, unbuffered):
+    if target == "full-device":
+        with open("/dev/full", "wb") as full, _cli_process(["single-pass", "--a2", "0.5"], unbuffered, full) as proc:
+            err = proc.stderr.read()
+    else:
+        with _cli_process(_LARGE_SWEEP, unbuffered, subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b"a2,p_scatt"
+            proc.stdout.close()  # the reader goes away after a few bytes
+            err = proc.stderr.read()
+    lines = err.decode().splitlines()
+    assert proc.returncode == 1, lines
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write report: "), lines
+    assert "Traceback" not in lines[0] and "Exception ignored" not in lines[0]
