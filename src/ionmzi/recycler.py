@@ -66,7 +66,7 @@ def iterate_analytic(ions: IonPairState) -> IterationResult:
     distribution: dict[int, float] = {}
     term = q / 4.0
     index = 1
-    while term > 1e-18 and index <= 64:
+    while term > 1e-18:
         distribution[index] = term
         term /= 4.0
         index += 1
