@@ -581,17 +581,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    try:
-        # An unbuffered text layer drops the rest of a write that a closing reader cuts short, so the
-        # last character goes out on its own: its write then fails where the short one went unseen.
+    try:  # a full device or a closed pipe fails a write or the flush
         sys.stdout.write(text[:-1])
-        sys.stdout.write(text[-1:])
+        sys.stdout.write(text[-1:])  # alone: unbuffered, a write that a closing reader cuts short raises nothing
         sys.stdout.flush()
-    except OSError as err:  # a full device or a closed pipe
+    except OSError as err:
         print(f"error: cannot write report: {err}", file=sys.stderr)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # what is left in the buffer now flushes at exit without failing
-        os.close(devnull)
+        with open(os.devnull, "wb") as devnull:  # so that the flush at exit of what is left cannot fail
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     return 0
 

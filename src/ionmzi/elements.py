@@ -69,13 +69,10 @@ def _element_tables() -> tuple[list, dict[IonId, list[int]]]:
             continue
         crossed = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
         splitter[here] = (basis_index(BasisState(crossed, ket.ion_u, ket.ion_l)), _REFLECTION_PHASE[mode.direction])
-        # the arm's ion absorbs from its addressed level and drops to the ground level
-        if mode.port is Port.UPPER and ket.ion_u is _ABSORBING_LEVEL[mode.polarization]:
-            dropped = BasisState(PhotonMode.scattered(IonId.ION_U), IonLevel.G, ket.ion_l)
-            absorption[IonId.ION_U][here] = basis_index(dropped)
-        elif mode.port is Port.LOWER and ket.ion_l is _ABSORBING_LEVEL[mode.polarization]:
-            dropped = BasisState(PhotonMode.scattered(IonId.ION_L), ket.ion_u, IonLevel.G)
-            absorption[IonId.ION_L][here] = basis_index(dropped)
+        ion, level = (IonId.ION_U, ket.ion_u) if mode.port is Port.UPPER else (IonId.ION_L, ket.ion_l)
+        if level is _ABSORBING_LEVEL[mode.polarization]:  # only this ion's level changes, to the ground level
+            levels = (IonLevel.G, ket.ion_l) if ion is IonId.ION_U else (ket.ion_u, IonLevel.G)
+            absorption[ion][here] = basis_index(BasisState(PhotonMode.scattered(ion), *levels))
     return splitter, absorption
 
 

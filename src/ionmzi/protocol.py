@@ -14,12 +14,9 @@ lower ion), is
 * the upper output carries ``(i/2) (c_mp |m-,m+> + c_pm |m+,m-> + 2 c_mm |m-,m->)``,
 * the lower output carries ``(1/2) (c_mp |m-,m+> - c_pm |m+,m->)``.
 
-``single_pass`` never evaluates these formulas.  It replays a schedule of three
-stages composed from the element tables (the input, the first splitter with
-both ion maps, the second splitter), checked against the composed element maps
-at first use, and is pinned against an independent hand-derived oracle in the
-test suite.  Kets are built and read by their levels; only ``states`` knows
-how a ket index is laid out.
+``single_pass`` never evaluates these formulas.  It replays three stages composed
+from the element tables, checked against the composed element maps at first use,
+and is pinned against an independent hand-derived oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -193,10 +190,10 @@ class PassResult:
 def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
     """One traversal as stages of ket moves composed from the element tables, and its readout.
 
-    Three stages: the pruned input, the first splitter with each target moved through both ion
-    maps (which move kets one to one), and the second splitter.  A stage lists its output kets in
-    index order, each as (input slot, factors applied in turn) in the order its element map
-    appends them.  Checked at first use against :func:`propagate`.
+    Three stages: the pruned input, the first splitter with each target moved through both ion maps
+    (one to one), and the second splitter.  A stage lists its output kets in index order, each as
+    (input slot, factors applied in turn) in the order its element map appends them.  Checked at
+    first use against :func:`propagate`.
     """
     photon = _entry_photon(photon_pol, entry)
     inputs = [basis_index(BasisState(photon, *levels)) for levels in _PAIR_LEVELS]

@@ -139,9 +139,7 @@ PAIRS = 9
 MODE_INDEX = {mode: index for index, mode in enumerate(MODES)}
 LEVEL_INDEX = {level: index for index, level in enumerate(IonLevel)}
 #: The basis kets in index order, which is the canonical term order.
-KETS: tuple[BasisState, ...] = tuple(
-    BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel
-)
+KETS = tuple(BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel)
 
 
 def basis_index(basis: BasisState) -> int:
