@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -573,8 +575,15 @@ def run(cfg: RunConfig) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    page = io.StringIO()
     try:
-        text = run(parse_config(argv))
+        with contextlib.redirect_stdout(page):  # argparse prints a --help page, then exits 0
+            cfg = parse_config(argv)
+        text = run(cfg)
+    except SystemExit as stop:
+        if stop.code:
+            raise
+        text = page.getvalue()
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -14,6 +14,13 @@ Both walkers read one lazy round table, which ends at the pass budget
 state; the numeric walk also stops once the weight that could still resolve
 falls below ``TRUNCATION_EPSILON``.  The weight still recycling then splits
 into its stuck |m-,m-> fraction and the truncated remainder.
+
+``monte_carlo`` samples the same loop with a SplitMix64 stream per trial.
+It runs round by round over packed chunks of trials and still gives the
+counts of a loop over trials bit for bit: the generator is counter based,
+so a trial's k-th draw does not depend on the order of evaluation; every
+branch test ``draw < t`` becomes an exact integer test on the 64-bit
+output; and the round table is read as lazily as before.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 
 from .protocol import IonPairState, single_pass
 from .states import abs2
@@ -135,7 +143,8 @@ def iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> Iterati
 # SplitMix64: 64-bit state advanced by the golden-ratio increment, output
 # mixed through the murmur-style finalizer.  Trial i of seed s draws from
 # its own stream with initial state mix(mix(s) ^ mix(i + 1)), so results
-# are reproducible regardless of execution order or partitioning.
+# are reproducible regardless of execution order or partitioning.  A draw
+# is the top 53 bits of the 64-bit output m, (m >> 11) * _INV_2_53.
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
@@ -150,6 +159,59 @@ def _mix64(z: int) -> int:
 def trial_stream_state(seed: int, trial: int) -> int:
     """Initial SplitMix64 state for one trial's private stream."""
     return _mix64(_mix64(seed & _MASK) ^ _mix64((trial + 1) & _MASK))
+
+
+# The Monte Carlo kernel packs a chunk of trials into one int, one 128-bit
+# lane per trial: a 64-bit counter in the low half, and room above it for
+# the counter's product with a 64-bit constant.  Both constants were chosen
+# by timing the monte-carlo benchmark's report sizes: chunks of 1024 to
+# 8192 lanes took the same time within 3%, and 2048 keeps a chunk's ints
+# near 32 kB; repacking below a half rather than a quarter of the lanes was
+# faster at a2 0.5 to 0.75, where about a quarter of the trials stay stuck.
+_CHUNK = 2048
+#: A chunk repacks its recycling lanes once fewer than 1/_REPACK of its lanes recycle.
+_REPACK = 2
+_LANE = 128
+
+
+def _ones(lanes: int) -> int:
+    """1 in each of ``lanes`` lanes, so that ``v * _ones(n)`` holds v in every lane."""
+    return ((1 << _LANE * lanes) - 1) // ((1 << _LANE) - 1)
+
+
+def _mix_lanes(z: int, low: int) -> int:
+    """``_mix64`` of every lane of ``z`` at once; ``low`` masks the low half of each lane.
+
+    Each lane holds a value below 2**64, so its product with a 64-bit
+    constant stays in the lane; each shift moves bits of the lane above
+    into bits 95-127, which the mask clears before they are multiplied.
+    """
+    z = (z ^ (z >> 33)) & low
+    z = z * 0xFF51AFD7ED558CCD & low
+    z = (z ^ (z >> 33)) & low
+    z = z * 0xC4CEB9FE1A85EC53 & low
+    return (z ^ (z >> 33)) & low
+
+
+def _threshold(t: float) -> int:
+    """The bound b with ``(m >> 11) * 2**-53 < t`` exactly when ``m < b``, for every 64-bit ``m``.
+
+    ``m >> 11`` is an integer below 2**53 and scaling t by 2**53 is exact,
+    so the draw is below t exactly when ``m >> 11 < ceil(t * 2**53)``.
+    Every draw is below a t of 1 or more, and none below a t of 0, less or NaN.
+    """
+    if not t > 0.0:
+        return 0
+    if t >= 1.0:
+        return 1 << 64
+    return math.ceil(math.ldexp(t, 53)) << 11
+
+
+def _repack(streams: int, active: int, lanes: int) -> int:
+    """The counters of the lanes whose bit 64 is set in ``active``, packed in order from lane 0."""
+    keep = (active >> 64).to_bytes(16 * lanes, "little")[::16]
+    packed = streams.to_bytes(16 * lanes, "little")
+    return int.from_bytes(b"".join([packed[i : i + 16] for i in compress(range(0, 16 * lanes, 16), keep)]), "little")
 
 
 @dataclass(frozen=True)
@@ -187,7 +249,7 @@ class MonteCarloResult:
 
 
 def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MAX_PASSES) -> MonteCarloResult:
-    """Sample the recycling loop outcome trial by trial.
+    """Sample the recycling loop outcome of each trial.
 
     Each trial walks the rounds, drawing the branch from the exact
     per-round probabilities; the recycled ion state follows one
@@ -196,43 +258,68 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     recycling when the table ends resolves against the stuck fraction of
     the last recycled state, which is zero without a state.  Deterministic
     for fixed (seed, trials).
+
+    The trials run round by round, a chunk of them packed in one int.  This
+    gives the counts of a loop over trials exactly: SplitMix64 is counter
+    based, so trial i's k-th draw is ``_mix64(s_i + k * _GOLDEN)``, whatever
+    order the draws are made in; each test ``draw < t`` is the integer test
+    ``m < _threshold(t)`` on the 64-bit output m; and row k of the table is
+    read only once some trial reaches round k, so ``single_pass`` runs as
+    often as for the loop.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
 
-    # Per-round cumulative thresholds (scatter, +detect); past the table's end, (-1.0, stuck).
+    # Per-round bounds (scatter, +detect) on the 64-bit output; past the table's end, (None, stuck).
     rows = _rounds(ions, max_passes)
-    thresholds: list[tuple[float, float]] = []
+    bounds: list[tuple[int | None, int]] = []
     post: IonPairState | None = None
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
     detections: dict[int, int] = {}
-    for trial in range(trials):
-        stream = trial_stream_state(seed, trial)
-        rounds = 0
-        while True:
-            stream = (stream + _GOLDEN) & _MASK
-            draw = (_mix64(stream) >> 11) * _INV_2_53
-            if rounds == len(thresholds):
+    seed_mix = _mix64(seed & _MASK)
+    for start in range(0, trials, _CHUNK):
+        lanes = min(_CHUNK, trials - start)
+        ones = _ones(lanes)
+        low, golden, flags = ones * _MASK, _GOLDEN * ones, ones << 64
+        # Lane j holds j: (2**128 - 1) * sum(j * 2**(128 j)) telescopes to the numerator.
+        ramp = ((lanes - 1 << _LANE * lanes) - ones + 1) // ((1 << _LANE) - 1)
+        streams = _mix_lanes(_mix_lanes((start + 1) * ones + ramp & low, low) ^ seed_mix * ones, low)
+        active, alive, rounds = flags, lanes, 0  # bit 64 of ``active`` marks each lane still recycling
+        while alive:
+            if rounds == len(bounds):
                 row = next(rows, None)
                 if row is None:
-                    thresholds.append((-1.0, stuck))
+                    bounds.append((None, _threshold(stuck)))
                 else:
                     scatter, detect, _, herald, stuck = row
-                    thresholds.append((scatter, scatter + detect))
+                    bounds.append((_threshold(scatter), _threshold(scatter + detect)))
                     post = herald if post is None else post
-            scatter, detect = thresholds[rounds]
+            scatter_bound, detect_bound = bounds[rounds]
             rounds += 1
-            if scatter < 0.0:
-                counts["stuck" if draw < detect else "truncated"] += 1
+            streams = streams + golden & low
+            # Bit 64 of each lane of (draws - b * ones) is set where the output is at least b.
+            draws = _mix_lanes(streams, low) | flags
+            if scatter_bound is None:
+                above = ((draws - detect_bound * ones) & active).bit_count()
+                counts["stuck"] += alive - above
+                counts["truncated"] += above
                 break
-            if draw < scatter:
-                counts["scattered"] += 1
-                break
-            if draw < detect:
-                counts["entangled"] += 1
-                detections[rounds] = detections.get(rounds, 0) + 1
-                break
-            # mirror-port branch: recycle and go around again
+            past_scatter = (draws - scatter_bound * ones) & active
+            recycling = (draws - detect_bound * ones) & past_scatter
+            if recycling == active:  # no lane resolved, as in most late rounds of a stuck-heavy input
+                continue
+            active = recycling
+            passed, recycled = past_scatter.bit_count(), active.bit_count()
+            counts["scattered"] += alive - passed
+            if passed > recycled:
+                counts["entangled"] += passed - recycled
+                detections[rounds] = detections.get(rounds, 0) + passed - recycled
+            alive = recycled
+            if alive and alive * _REPACK < lanes:
+                streams, lanes = _repack(streams, active, lanes), alive
+                ones = _ones(lanes)
+                low, golden, flags = ones * _MASK, _GOLDEN * ones, ones << 64
+                active = flags
 
     inv = 1.0 / trials
     frequencies = {name: count * inv for name, count in counts.items()}

@@ -508,3 +508,15 @@ def test_unwritable_output_is_one_error_line(target, unbuffered):
     assert proc.returncode == 1, lines
     assert len(lines) == 1 and lines[0].startswith("error: cannot write report: "), lines
     assert "Traceback" not in lines[0] and "Exception ignored" not in lines[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["monte-carlo", "--help"]], ids=["top", "subcommand"])
+def test_unwritable_help_is_one_error_line(argv, unbuffered):
+    """A help page takes the report's write path: no ``Exception ignored`` at exit, and no page lost silently."""
+    with open("/dev/full", "wb") as full, _cli_process(argv, unbuffered, full) as proc:
+        err = proc.stderr.read()
+    lines = err.decode().splitlines()
+    assert proc.returncode == 1, lines
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write report: "), lines

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,101 @@ class TestWalkersMatchReference:
                     result = monte_carlo(ions, trials, seed, max_passes)
                     assert repr(result) == repr(reference_monte_carlo(ions, trials, seed, max_passes))
                     assert len(calls) == len(reference_calls), (trials, seed, max_passes)
+
+
+#: Seeds at the edges of the seed mask: zero, past 32 bits, the top 64-bit value and a negative one.
+EDGE_SEEDS = (0, 2**40 + 3, 2**64 - 1, -1)
+
+
+class TestPackedKernel:
+    """The packed kernel matches the per-trial reference across lane-chunk and repacking borders."""
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, ions, trials, seed, max_passes):
+        calls = count_single_pass_calls(monkeypatch, recycler)
+        reference_calls = count_single_pass_calls(monkeypatch, oracles)
+        result = monte_carlo(ions, trials, seed, max_passes)
+        assert repr(result) == repr(reference_monte_carlo(ions, trials, seed, max_passes))
+        assert len(calls) == len(reference_calls), (trials, seed, max_passes)
+
+    @pytest.mark.parametrize("a2", [0.0, 0.03, 0.5, 0.97, 1.0])
+    def test_small_chunks(self, monkeypatch, a2):
+        """Chunks of 7 lanes: every trial count meets or crosses a chunk border.
+
+        Each case also runs with ``_REPACK`` 1, which repacks a chunk whenever
+        any of its lanes stops recycling, down to a single lane.
+        """
+        monkeypatch.setattr(recycler, "_CHUNK", 7)
+        repacks = []
+        repack = recycler._repack
+        monkeypatch.setattr(recycler, "_repack", lambda *args: repacks.append(args[2]) or repack(*args))
+        for ratio in (recycler._REPACK, 1):
+            monkeypatch.setattr(recycler, "_REPACK", ratio)
+            for trials in (1, 6, 7, 8, 17):
+                for max_passes in (1, 2, 3, 30, 40):
+                    for seed in EDGE_SEEDS:
+                        self.assert_matches_reference(monkeypatch, balanced_product(a2), trials, seed, max_passes)
+        # a2 0 and 1 resolve every lane of a chunk in the same round (all stuck, all scattered)
+        assert bool(repacks) == (0.0 < a2 < 1.0)
+
+    #: Trial counts at the borders of the module's own chunk size.
+    BORDER_TRIALS = (1, recycler._CHUNK - 1, recycler._CHUNK, recycler._CHUNK + 1, 2 * recycler._CHUNK + 3)
+
+    @pytest.mark.parametrize(
+        "a2, max_passes, seed",
+        [
+            (0.0, 2, 2**40 + 3), (0.0, 30, 0), (0.03, 30, -1), (0.03, 1, 2**64 - 1), (0.5, 40, 2**64 - 1),
+            (0.5, 3, 2**40 + 3), (0.97, 3, 0), (0.97, 40, -1), (1.0, 1, 2**64 - 1), (1.0, 30, 7),
+        ],
+    )
+    def test_module_chunks(self, monkeypatch, a2, max_passes, seed):
+        for trials in self.BORDER_TRIALS:
+            self.assert_matches_reference(monkeypatch, balanced_product(a2), trials, seed, max_passes)
+
+    #: Peak traced allocation of the 200,000-trial run below, 0.42 MB when measured with chunks of
+    #: 2048 lanes (2.4x under this budget); one int of 128-bit lanes for all trials is 3.2 MB, and
+    #: an unchunked kernel peaked at 41 MB.
+    PEAK_BUDGET = 1_000_000
+
+    def test_peak_memory_is_chunked(self):
+        ions = balanced_product(0.03)
+        monte_carlo(ions, 1, seed=1)  # the single-pass schedule is built once, outside the trace
+        tracemalloc.start()
+        try:
+            monte_carlo(ions, 200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BUDGET
+
+
+#: t = 3 * 2**-53 and 2**52 + 1 ulps below 1, each with its neighbours one ulp away.
+_ULP_NEIGHBOURS = [
+    math.nextafter(t, direction) for t in (3 * 2.0**-53, (2**52 + 1) * 2.0**-53) for direction in (0.0, 2.0)
+]
+
+
+class TestThreshold:
+    """``_threshold(t)`` turns the float test ``draw < t`` into an exact integer test on the 64-bit output."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [0.0, 5e-324, 2.0**-53, 3 * 2.0**-53, (2**52 + 1) * 2.0**-53, *_ULP_NEIGHBOURS, 1.0 - 2.0**-53, 1.0, 0.7],
+    )
+    def test_bound_is_exact(self, t):
+        bound = recycler._threshold(t)
+        assert 0 <= bound <= 2**64
+        for m in (bound - 1, bound):
+            if 0 <= m < 2**64:
+                assert ((m >> 11) * 2.0**-53 < t) == (m < bound), (t, m)
+
+    @pytest.mark.parametrize("t", [1.0, math.nextafter(1.0, 2.0), 2.0, math.inf])
+    def test_one_or_more_passes_every_draw(self, t):
+        assert recycler._threshold(t) == 2**64  # above the largest output, 2**64 - 1
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_zero_or_less_passes_no_draw(self, t):
+        assert recycler._threshold(t) == 0
 
 
 class TestPhysicalLoopConsistency:
