@@ -157,7 +157,7 @@ def _mix64(z: int) -> int:
 
 
 def trial_stream_state(seed: int, trial: int) -> int:
-    """Initial SplitMix64 state for one trial's private stream."""
+    """Initial SplitMix64 state for one trial's private stream; ``monte_carlo`` computes it lane-wise."""
     return _mix64(_mix64(seed & _MASK) ^ _mix64((trial + 1) & _MASK))
 
 
@@ -175,7 +175,7 @@ _LANE = 128
 
 
 def _ones(lanes: int) -> int:
-    """1 in each of ``lanes`` lanes, so that ``v * _ones(n)`` holds v in every lane."""
+    """1 in each of ``lanes`` lanes, so that ``v * _ones(lanes)`` holds v in every lane."""
     return ((1 << _LANE * lanes) - 1) // ((1 << _LANE) - 1)
 
 
