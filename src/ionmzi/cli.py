@@ -107,7 +107,7 @@ def _jsonable(value) -> list | dict:
 
 
 def _iteration(result: recycler.IterationResult) -> dict:
-    return {**vars(result), "passes_distribution": sorted(result.passes_distribution.items())}
+    return {**vars(result), "passes_distribution": list(result.passes_distribution.items())}
 
 
 # --- scenario runners -------------------------------------------------------
@@ -212,7 +212,7 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
         "seed": sampled.seed,
         "frequencies": dict(sampled.frequencies),
         "standard_errors": dict(sampled.standard_errors),
-        "passes_distribution": sorted(sampled.passes_distribution.items()),
+        "passes_distribution": list(sampled.passes_distribution.items()),
         "post_entangled": sampled.post_entangled,
         "analytic": {
             "p_entangled": analytic.p_entangled,
@@ -600,7 +600,3 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -58,17 +58,18 @@ _MIRROR_STATION = {
 
 
 def _element_tables() -> tuple[list, dict[IonId, list[int]]]:
-    """Per basis index: the splitter's (crossed-port ket, reflection phase), None off
-    the beam; and each ion's absorption target, the ket itself where it absorbs nothing.
+    """Per basis index: the splitter's moves, each (target ket, factors applied in turn), in the
+    order it appends them; and each ion's absorption target, the ket itself where it absorbs nothing.
     """
-    splitter: list[tuple[int, complex] | None] = [None] * len(KETS)
+    splitter = [((here, ()),) for here in range(len(KETS))]
     absorption = {IonId.ION_U: list(range(len(KETS))), IonId.ION_L: list(range(len(KETS)))}
     for here, ket in enumerate(KETS):
         mode = ket.photon
         if mode.kind is not ModeKind.PROPAGATING:
             continue
         crossed = PhotonMode.propagating(_OTHER_PORT[mode.port], mode.direction, mode.polarization)
-        splitter[here] = (basis_index(BasisState(crossed, ket.ion_u, ket.ion_l)), _REFLECTION_PHASE[mode.direction])
+        crossed_ket = basis_index(BasisState(crossed, ket.ion_u, ket.ion_l))
+        splitter[here] = ((crossed_ket, (_SQRT_HALF,)), (here, (_SQRT_HALF, _REFLECTION_PHASE[mode.direction])))
         ion, level = (IonId.ION_U, ket.ion_u) if mode.port is Port.UPPER else (IonId.ION_L, ket.ion_l)
         if level is _ABSORBING_LEVEL[mode.polarization]:  # only this ion's level changes, to the ground level
             levels = (IonLevel.G, ket.ion_l) if ion is IonId.ION_U else (ket.ion_u, IonLevel.G)
@@ -85,18 +86,17 @@ def beam_splitter(state: PureState) -> PureState:
     An amplitude on one port splits evenly over both ports; the same-port
     component picks up the direction-dependent reflection phase.
     Polarization is untouched, and scattered or vacuum terms pass through.
-    Both splitters apply this identical map.
+    Both splitters apply this identical map, each term taking its ket's
+    moves in ``_SPLITTER``: to the crossed port times sqrt(1/2), and in
+    place times sqrt(1/2) then the phase; off the beam, in place as it is.
     """
     out: list[tuple[int, complex]] = []
     for index, amp in state.indexed_items():
-        entry = _SPLITTER[index]
-        if entry is None:
-            out.append((index, amp))
-            continue
-        crossed, phase = entry
-        half = amp * _SQRT_HALF
-        out.append((crossed, half))
-        out.append((index, half * phase))
+        for target, factors in _SPLITTER[index]:
+            moved = amp
+            for factor in factors:
+                moved = moved * factor
+            out.append((target, moved))
     return PureState(indexed=out)
 
 

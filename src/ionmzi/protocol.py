@@ -203,9 +203,7 @@ def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
     for moved in (through_ions, range(len(KETS))):  # each splitter, then where its targets move
         merged: dict[int, list] = {}
         for slot, ket in enumerate(kets):
-            crossed, phase = _SPLITTER[ket] or (ket, None)  # off the beam a ket passes through
-            moves = ((ket, ()),) if phase is None else ((crossed, (_SQRT_HALF,)), (ket, (_SQRT_HALF, phase)))
-            for target, factors in moves:
+            for target, factors in _SPLITTER[ket]:
                 merged.setdefault(moved[target], []).append((slot, factors))
         kets = sorted(merged)
         stages.append(tuple(tuple(merged[ket]) for ket in kets))

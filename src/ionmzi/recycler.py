@@ -15,12 +15,13 @@ state; the numeric walk also stops once the weight that could still resolve
 falls below ``TRUNCATION_EPSILON``.  The weight still recycling then splits
 into its stuck |m-,m-> fraction and the truncated remainder.
 
-``monte_carlo`` samples the same loop with a SplitMix64 stream per trial.
-It runs round by round over packed chunks of trials and still gives the
-counts of a loop over trials bit for bit: the generator is counter based,
-so a trial's k-th draw does not depend on the order of evaluation; every
-branch test ``draw < t`` becomes an exact integer test on the 64-bit
-output; and the round table is read as lazily as before.
+``monte_carlo`` samples the same loop with a SplitMix64 stream per trial
+(Steele, Lea & Flood, OOPSLA 2014), one lane of a packed int each.  It runs
+round by round over packed chunks of trials and still gives the counts of a
+loop over trials bit for bit: the generator is counter based, so a trial's
+k-th draw does not depend on the order of evaluation; every branch test
+``draw < t`` becomes an exact integer test on the 64-bit output; and the
+round table is read as lazily as before.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class IterationResult:
     """Outcome masses of the recycling loop.
 
     The four probabilities sum to one; ``passes_distribution`` maps the
-    round index to the absolute detection probability in that round.
+    round index to the absolute detection probability in that round, in
+    round order.
     """
 
     p_entangled: float
@@ -141,24 +143,12 @@ def iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> Iterati
 
 
 # SplitMix64: 64-bit state advanced by the golden-ratio increment, output
-# mixed through the murmur-style finalizer.  Trial i of seed s draws from
-# its own stream with initial state mix(mix(s) ^ mix(i + 1)), so results
-# are reproducible regardless of execution order or partitioning.  A draw
-# is the top 53 bits of the 64-bit output m, (m >> 11) * _INV_2_53.
+# mixed through the murmur-style finalizer ``_mix_lanes``.  Trial i of seed s
+# draws from its own stream with initial state mix(mix(s) ^ mix(i + 1)), so
+# results are reproducible regardless of execution order or partitioning.
+# A draw is the top 53 bits of the 64-bit output m, (m >> 11) * 2**-53.
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_INV_2_53 = 2.0 ** -53
-
-
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCD & _MASK
-    z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK
-    return z ^ (z >> 33)
-
-
-def trial_stream_state(seed: int, trial: int) -> int:
-    """Initial SplitMix64 state for one trial's private stream; ``monte_carlo`` computes it lane-wise."""
-    return _mix64(_mix64(seed & _MASK) ^ _mix64((trial + 1) & _MASK))
 
 
 # The Monte Carlo kernel packs a chunk of trials into one int, one 128-bit
@@ -180,11 +170,12 @@ def _ones(lanes: int) -> int:
 
 
 def _mix_lanes(z: int, low: int) -> int:
-    """``_mix64`` of every lane of ``z`` at once; ``low`` masks the low half of each lane.
+    """SplitMix64's output mix of every lane of ``z`` at once; ``low`` masks the low half of each lane.
 
     Each lane holds a value below 2**64, so its product with a 64-bit
     constant stays in the lane; each shift moves bits of the lane above
     into bits 95-127, which the mask clears before they are multiplied.
+    ``_mix_lanes(v, _MASK)`` mixes one value v below 2**64.
     """
     z = (z ^ (z >> 33)) & low
     z = z * 0xFF51AFD7ED558CCD & low
@@ -220,7 +211,8 @@ class MonteCarloResult:
 
     ``counts`` and ``frequencies`` are keyed by outcome name
     ("entangled", "scattered", "stuck", "truncated");
-    ``passes_distribution`` holds the detection frequency by round index.
+    ``passes_distribution`` holds the detection frequency by round index,
+    in round order.
     """
 
     trials: int
@@ -261,7 +253,7 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
 
     The trials run round by round, a chunk of them packed in one int.  This
     gives the counts of a loop over trials exactly: SplitMix64 is counter
-    based, so trial i's k-th draw is ``_mix64(s_i + k * _GOLDEN)``, whatever
+    based, so trial i's k-th draw is the mix of ``s_i + k * _GOLDEN``, whatever
     order the draws are made in; each test ``draw < t`` is the integer test
     ``m < _threshold(t)`` on the 64-bit output m; and row k of the table is
     read only once some trial reaches round k, so ``single_pass`` runs as
@@ -276,7 +268,7 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     post: IonPairState | None = None
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
     detections: dict[int, int] = {}
-    seed_mix = _mix64(seed & _MASK)
+    seed_mix = _mix_lanes(seed & _MASK, _MASK)
     for start in range(0, trials, _CHUNK):
         lanes = min(_CHUNK, trials - start)
         ones = _ones(lanes)

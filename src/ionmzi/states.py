@@ -11,9 +11,9 @@ basis index) so that equality is structural.
 The joint space is small and fixed: 11 photon modes times 9 ion-level
 pairs, 99 kets in all.  A ket's integer index is its place in ``KETS``, and
 a state stores its amplitudes keyed by that index; ``BasisState`` and
-``PhotonMode`` remain the public view of a ket.  Only this module knows
-how an index is laid out: other modules read a ket through ``KETS`` and
-find one through ``basis_index``.
+``PhotonMode`` remain the public view of a ket.  ``KETS`` is the only
+statement of the layout: other modules read a ket through it and find one
+through ``basis_index``, a lookup built from it.
 
 Global phase is never divided out automatically: ``normalize`` rescales by
 a positive real factor only, and ray equality is a separate comparison
@@ -133,18 +133,15 @@ MODES: tuple[PhotonMode, ...] = (
     *(PhotonMode.scattered(ion) for ion in IonId),
     PhotonMode.vacuum(),
 )
-#: Ion-level pairs per photon mode; ket ``mode * PAIRS + 3 * ion_u + ion_l``
-#: indexes the levels in ``IonLevel`` declaration order.
-PAIRS = 9
-MODE_INDEX = {mode: index for index, mode in enumerate(MODES)}
-LEVEL_INDEX = {level: index for index, level in enumerate(IonLevel)}
-#: The basis kets in index order, which is the canonical term order.
+#: The basis kets in index order, which is the canonical term order: by mode, then by
+#: the two ion levels in ``IonLevel`` declaration order.
 KETS = tuple(BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel)
+_KET_INDEX = {ket: index for index, ket in enumerate(KETS)}
 
 
 def basis_index(basis: BasisState) -> int:
     """Position of ``basis`` in ``KETS``."""
-    return MODE_INDEX[basis.photon] * PAIRS + 3 * LEVEL_INDEX[basis.ion_u] + LEVEL_INDEX[basis.ion_l]
+    return _KET_INDEX[basis]
 
 
 class PureState:

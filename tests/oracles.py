@@ -16,13 +16,18 @@ number of ``single_pass`` calls.  ``reference_element_tables`` and
 as they were built with their own ket-index arithmetic, before ``states``
 alone knew the ket layout; the tables in ``ionmzi.elements`` and the
 schedule in ``ionmzi.protocol`` are pinned equal to them.
+
+The references restate what they pin rather than import it: the ket index
+arithmetic (``PAIRS``, ``MODE_INDEX``, ``LEVEL_INDEX``), which ``ionmzi.states``
+gives only as the order of ``KETS``, and the scalar SplitMix64 stream of
+each trial, which ``ionmzi.recycler`` computes only lane-wise.
 """
 
 from __future__ import annotations
 
 import math
 
-from ionmzi.elements import _ABSORBING_LEVEL, _OTHER_PORT, _REFLECTION_PHASE, _SQRT_HALF
+from ionmzi.elements import _ABSORBING_LEVEL, _OTHER_PORT, _REFLECTION_PHASE
 from ionmzi.protocol import (
     ENTRY_LOWER_FORWARD,
     ENTRY_UPPER_BACKWARD,
@@ -35,22 +40,9 @@ from ionmzi.protocol import (
     propagate,
     single_pass,
 )
-from ionmzi.recycler import (
-    _GOLDEN,
-    _INV_2_53,
-    _MASK,
-    MAX_PASSES,
-    TRUNCATION_EPSILON,
-    IterationResult,
-    MonteCarloResult,
-    _mix64,
-    trial_stream_state,
-)
+from ionmzi.recycler import MAX_PASSES, TRUNCATION_EPSILON, IterationResult, MonteCarloResult
 from ionmzi.states import (
-    LEVEL_INDEX,
-    MODE_INDEX,
     MODES,
-    PAIRS,
     BasisState,
     Direction,
     IonId,
@@ -64,6 +56,12 @@ from ionmzi.states import (
 )
 
 SQRT_HALF = 2.0 ** -0.5
+
+#: Ion-level pairs per photon mode; ket ``mode * PAIRS + 3 * ion_u + ion_l``
+#: indexes the levels in ``IonLevel`` declaration order.
+PAIRS = 9
+MODE_INDEX = {mode: index for index, mode in enumerate(MODES)}
+LEVEL_INDEX = {level: index for index, level in enumerate(IonLevel)}
 
 MODE_FORWARD_LOWER = PhotonMode.propagating(Port.LOWER, Direction.FORWARD, Polarization.SIGMA_PLUS)
 MODE_FORWARD_UPPER = PhotonMode.propagating(Port.UPPER, Direction.FORWARD, Polarization.SIGMA_PLUS)
@@ -268,6 +266,25 @@ def reference_iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) 
     )
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), one trial at a time: 64-bit
+# state advanced by the golden-ratio increment, output mixed through the
+# murmur-style finalizer.  A draw is the top 53 bits of the output.
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_INV_2_53 = 2.0 ** -53
+
+
+def _mix64(z: int) -> int:
+    z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCD & _MASK
+    z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK
+    return z ^ (z >> 33)
+
+
+def trial_stream_state(seed: int, trial: int) -> int:
+    """Initial SplitMix64 state for one trial's private stream."""
+    return _mix64(_mix64(seed & _MASK) ^ _mix64((trial + 1) & _MASK))
+
+
 def reference_monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MAX_PASSES) -> MonteCarloResult:
     """Sample the recycling loop outcome trial by trial.
 
@@ -380,7 +397,7 @@ def reference_schedule(photon_pol: Polarization, entry: tuple[Port, Direction]) 
 
     def split(ket: int) -> tuple:  # off the beam a ket passes through
         crossed, phase = _SPLITTER[ket] or (ket, None)
-        return ((ket, ()),) if phase is None else ((crossed, (_SQRT_HALF,)), (ket, (_SQRT_HALF, phase)))
+        return ((ket, ()),) if phase is None else ((crossed, (SQRT_HALF,)), (ket, (SQRT_HALF, phase)))
 
     stages: list[tuple] = []
     for moves in (lambda ket: ((ket, ()),), split, lambda ket: ((_ABSORPTION[IonId.ION_U][ket], ()),),

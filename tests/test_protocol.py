@@ -21,6 +21,7 @@ from ionmzi.protocol import (
     single_pass,
 )
 from ionmzi.states import (
+    PRUNE_EPS,
     Direction,
     PhotonMode,
     Polarization,
@@ -200,6 +201,18 @@ class TestSchedule:
                         assert repr(single_pass(ions, pol, entry, enclosed)) == repr(
                             reference_single_pass(ions, pol, entry, enclosed)
                         )
+
+    def test_single_pass_matches_reference_at_the_prune_tie(self):
+        """The first splitter takes this c_pp to exactly ``PRUNE_EPS``, which both paths keep."""
+        c_pp = 1.414213562373095e-12
+        assert c_pp * SQRT_HALF == PRUNE_EPS
+        ions = IonPairState(c_pp=c_pp, c_mm=1.0)
+        for pol in Polarization:
+            for entry in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+                for enclosed in (False, True):
+                    assert repr(single_pass(ions, pol, entry, enclosed)) == repr(
+                        reference_single_pass(ions, pol, entry, enclosed)
+                    )
 
     @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
     @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)

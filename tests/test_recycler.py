@@ -20,7 +20,6 @@ from ionmzi.recycler import (
     iterate_analytic,
     iterate_numeric,
     monte_carlo,
-    trial_stream_state,
 )
 from ionmzi.states import ModeKind, PureState, equal_up_to_global_phase
 
@@ -30,6 +29,7 @@ from oracles import (
     random_product_amplitudes,
     reference_iterate_numeric,
     reference_monte_carlo,
+    trial_stream_state,
 )
 
 
@@ -196,6 +196,19 @@ class TestIterateNumeric:
         assert result.p_truncated <= 1e-12
         assert result.p_entangled == pytest.approx(analytic.p_entangled, abs=1e-10)
         assert result.p_stuck == pytest.approx(analytic.p_stuck, abs=1e-10)
+
+    def test_truncation_stops_only_below_epsilon(self, monkeypatch):
+        """A resolvable weight of exactly ``TRUNCATION_EPSILON`` after round 5 walks on to round 6."""
+        ions = balanced_product(0.5)
+        weight = 1.0
+        for _, _, recycle, _, stuck in recycler._rounds(ions, 5):
+            weight *= recycle
+        tie = weight * (1.0 - stuck)
+        for epsilon, rounds in ((tie, 6), (math.nextafter(tie, 1.0), 5)):
+            monkeypatch.setattr(recycler, "TRUNCATION_EPSILON", epsilon)
+            calls = count_single_pass_calls(monkeypatch, recycler)
+            iterate_numeric(ions)
+            assert len(calls) == rounds, epsilon
 
     def test_stop_reports_unresolved_mass(self):
         ions = balanced_product(0.7)

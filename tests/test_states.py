@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ionmzi.states import (
+    PRUNE_EPS,
     BasisState,
     Direction,
     IonId,
@@ -114,6 +115,10 @@ class TestCanonicalForm:
     def test_tiny_amplitudes_pruned(self):
         state = PureState({KET_PM: 1.0, KET_MP: 1e-15})
         assert len(state) == 1
+
+    def test_prune_keeps_an_amplitude_of_exactly_prune_eps(self):
+        assert len(PureState(indexed=[(0, PRUNE_EPS)])) == 1
+        assert len(PureState(indexed=[(0, math.nextafter(PRUNE_EPS, 0.0))])) == 0
 
     def test_cancellation_pruned(self):
         state = PureState([(KET_PM, 1.0), (KET_PM, -1.0), (KET_MP, 1.0)])
