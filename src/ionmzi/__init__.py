@@ -30,7 +30,6 @@ from .protocol import (
     IonPairState,
     MixedPassResult,
     PassResult,
-    ProductPassResult,
     SingleIonState,
     bell_phi_plus,
     bell_psi_minus,
@@ -38,7 +37,6 @@ from .protocol import (
     evolve_single_pass,
     ion_pair_pure_state,
     run_mixed,
-    run_product,
     single_pass,
 )
 from .recycler import (
@@ -76,7 +74,6 @@ __all__ = [
     "PhotonMode",
     "Polarization",
     "Port",
-    "ProductPassResult",
     "PureState",
     "SingleIonState",
     "ThroughputReport",
@@ -100,7 +97,6 @@ __all__ = [
     "monte_carlo",
     "normalize",
     "run_mixed",
-    "run_product",
     "single_pass",
     "throughput",
 ]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus
+from .states import NORM_TOL
 
 SCHEMA_VERSION = 2
 TOOL_NAME = "ionmzi"
@@ -129,8 +130,8 @@ def _product_ions(cfg: RunConfig) -> IonPairState:
 
 def _run_single_pass(cfg: RunConfig) -> dict:
     u_plus, u_minus, l_plus, l_minus = _resolved_amplitudes(cfg)
-    run = protocol.run_product(u_plus, u_minus, l_plus, l_minus)
-    result = run.result
+    result = protocol.single_pass(IonPairState.product(u_plus, u_minus, l_plus, l_minus))
+    post = result.post_detect_lower
     return {
         "inputs": {"u_plus": u_plus, "u_minus": u_minus, "l_plus": l_plus, "l_minus": l_minus},
         "probabilities": {
@@ -140,12 +141,13 @@ def _run_single_pass(cfg: RunConfig) -> dict:
             "detect_lower": result.p_detect_lower,
             "recycle": result.p_recycle,
         },
-        "balanced": run.balanced,
+        # equal moduli on the two ions: the post-selected state is maximally entangled
+        "balanced": abs(abs(u_plus) - abs(l_plus)) <= NORM_TOL and abs(abs(u_minus) - abs(l_minus)) <= NORM_TOL,
         "post_detect_upper": result.post_detect_upper,
-        "post_detect_lower": result.post_detect_lower,
+        "post_detect_lower": post,
         "post_scatter_u": result.post_scatter_u,
         "post_scatter_l": result.post_scatter_l,
-        "fidelity_detect_lower_vs_psi_minus": run.fidelity_vs_psi_minus,
+        "fidelity_detect_lower_vs_psi_minus": post.fidelity(bell_psi_minus()) if post is not None else None,
     }
 
 
@@ -222,11 +224,14 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
     }
 
 
-def _p_protocol(protocol: str, value: float) -> float:
-    """Iterated success of the mixed input with fidelity ``value``, or of the
-    matched product input with m+ population ``value``."""
-    if protocol == "mixed":
-        return value * recycler.iterate_analytic(bell_psi_plus()).p_entangled
+def _p_protocol(kind: str, value: float) -> float:
+    """Iterated success of the mixed input with fidelity ``value``, pooled over its components in a
+    plain loop as :func:`_fidelity_vs` pools, or of the matched product input with m+ population ``value``."""
+    if kind == "mixed":
+        total = 0.0
+        for weight, ions in protocol._mixed_components(value):
+            total += weight * recycler.iterate_analytic(ions).p_entangled
+        return total
     amp_plus = math.sqrt(value)
     amp_minus = math.sqrt(1.0 - value)
     ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)

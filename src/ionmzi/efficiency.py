@@ -74,14 +74,14 @@ REFERENCE_POINT: dict[str, ReferenceValue] = {
 
 def cavity_decay_rate(finesse: float, length: float) -> float:
     """Decay rate 4*pi*c / (finesse * length), in 1/s."""
-    if finesse <= 0.0 or length <= 0.0:
+    if not (finesse > 0.0 and length > 0.0):
         raise ValueError("finesse and length must be positive")
     return 4.0 * math.pi * SPEED_OF_LIGHT / (finesse * length)
 
 
 def cavity_mode_volume(length: float, wavelength: float) -> float:
     """Confocal-cavity mode volume length^2 * wavelength / 4."""
-    if length <= 0.0 or wavelength <= 0.0:
+    if not (length > 0.0 and wavelength > 0.0):
         raise ValueError("length and wavelength must be positive")
     return length * length * wavelength / 4.0
 
@@ -91,7 +91,7 @@ def coupling_constant(dipole_moment: float, wavelength: float, length: float) ->
 
     Uses the confocal mode volume for V.
     """
-    if dipole_moment <= 0.0:
+    if not dipole_moment > 0.0:
         raise ValueError("dipole moment must be positive")
     volume = cavity_mode_volume(length, wavelength)
     return (
@@ -108,10 +108,10 @@ def cavity_emission_probability(cavity_decay: float, coupling: float, loss_rate:
 
     ``cavity_decay`` is the cavity decay rate, ``coupling`` the
     transition-cavity coupling constant and ``loss_rate`` the non-cavity
-    loss rate.  Lies in [0, 1] for any nonnegative rates; returned raw,
+    loss rate.  Lies in [0, 1] for any finite nonnegative rates; returned raw,
     never clamped.
     """
-    if cavity_decay < 0.0 or coupling < 0.0 or loss_rate < 0.0:
+    if not all(0.0 <= rate < math.inf for rate in (cavity_decay, coupling, loss_rate)):
         raise ValueError("rates must be nonnegative")
     denominator = (cavity_decay + loss_rate) * (
         cavity_decay * loss_rate + 4.0 * coupling * coupling

@@ -292,44 +292,6 @@ def single_pass(
     )
 
 
-@dataclass(frozen=True)
-class ProductPassResult:
-    """Single traversal for a product input, plus the balance diagnostics.
-
-    ``balanced`` records whether the two ions carry level populations of
-    equal modulus, the condition under which the post-selected state is
-    maximally entangled.
-    """
-
-    result: PassResult
-    balanced: bool
-    fidelity_vs_psi_minus: float | None
-
-
-def run_product(
-    u_plus: complex,
-    u_minus: complex,
-    l_plus: complex,
-    l_minus: complex,
-) -> ProductPassResult:
-    """Single traversal for two independently prepared ions."""
-    if not abs(abs2(complex(u_plus)) + abs2(complex(u_minus)) - 1.0) <= NORM_TOL:
-        raise ValueError("upper-ion amplitudes must be normalized")
-    if not abs(abs2(complex(l_plus)) + abs2(complex(l_minus)) - 1.0) <= NORM_TOL:
-        raise ValueError("lower-ion amplitudes must be normalized")
-    ions = IonPairState.product(u_plus, u_minus, l_plus, l_minus)
-    result = single_pass(ions)
-    balanced = (
-        abs(abs(u_plus) - abs(l_plus)) <= NORM_TOL and abs(abs(u_minus) - abs(l_minus)) <= NORM_TOL
-    )
-    fidelity = (
-        result.post_detect_lower.fidelity(bell_psi_minus())
-        if result.post_detect_lower is not None
-        else None
-    )
-    return ProductPassResult(result=result, balanced=balanced, fidelity_vs_psi_minus=fidelity)
-
-
 #: A heralded mixture: (weight, ion-pair state) components, weights in (0, 1] summing to one.
 Ensemble = tuple[tuple[float, IonPairState], ...]
 
@@ -354,16 +316,17 @@ class MixedPassResult:
     post_detect_lower: Ensemble | None
 
 
-def run_mixed(fidelity: float) -> MixedPassResult:
-    """Single traversal for the two-component mixed input with overlap ``fidelity`` on |Psi+>."""
+def _mixed_components(fidelity: float) -> Ensemble:
+    """The mixed input: |Psi+> with weight ``fidelity`` and |Phi+> with the rest, zero weights dropped."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    inputs: list[tuple[float, IonPairState]] = []
-    if fidelity > 0.0:
-        inputs.append((fidelity, bell_psi_plus()))
-    if fidelity < 1.0:
-        inputs.append((1.0 - fidelity, bell_phi_plus()))
-    runs = tuple((w, ions, single_pass(ions)) for w, ions in inputs)
+    components = ((fidelity, bell_psi_plus()), (1.0 - fidelity, bell_phi_plus()))
+    return tuple((weight, ions) for weight, ions in components if weight > 0.0)
+
+
+def run_mixed(fidelity: float) -> MixedPassResult:
+    """Single traversal for the two-component mixed input with overlap ``fidelity`` on |Psi+>."""
+    runs = tuple((w, ions, single_pass(ions)) for w, ions in _mixed_components(fidelity))
 
     def pooled(value) -> float:
         return sum(w * value(r) for w, _, r in runs)

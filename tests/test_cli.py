@@ -393,6 +393,23 @@ class TestThroughputReports:
         expected = (2.0 / 3.0 * 0.25) * 0.02 * 0.5 * 1000.0
         assert report["results"]["pairs_per_second"] == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("fidelity", [0.0, 5e-324, 1e-300, 0.3, 0.7, 1.0 - 1e-16, 1.0])
+    def test_mixed_success_is_one_figure(self, tmp_path, fidelity):
+        # the mixed report, the mixed sweep and a mixed throughput all pool the same mixture
+        mixed = cli.build_report(parse_config(["mixed", "--fidelity", repr(fidelity)]))
+        sweep = cli.build_report(parse_config([
+            "sweep", "--scenario", "mixed", "--axis", "fidelity",
+            "--from", repr(fidelity), "--to", repr(fidelity), "--points", "2",
+        ]))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "p_cav": 0.02, "detector_efficiency": 0.5, "photon_rate": 1000.0, "protocol": "mixed", "fidelity": fidelity,
+        }))
+        throughput = cli.build_report(parse_config(["throughput", "--config", str(path)]))
+        iterated = mixed["results"]["iterated"]["p_entangled"]
+        assert [row["p_entangled_iterated"] for row in sweep["results"]["rows"]] == [iterated, iterated]
+        assert throughput["results"]["p_protocol"] == iterated
+
 
 class TestSchema:
     def scenarios(self):

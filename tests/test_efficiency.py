@@ -55,6 +55,16 @@ class TestCavityDecayRate:
             cavity_decay_rate(0.0, 1.0)
         with pytest.raises(ValueError):
             cavity_decay_rate(1.0, -1.0)
+        with pytest.raises(ValueError, match="finesse and length must be positive"):
+            cavity_decay_rate(math.nan, 3e-3)
+        with pytest.raises(ValueError, match="finesse and length must be positive"):
+            cavity_decay_rate(19000.0, math.nan)
+        with pytest.raises(ValueError, match="length and wavelength must be positive"):
+            cavity_mode_volume(math.nan, 393e-9)
+        with pytest.raises(ValueError, match="dipole moment must be positive"):
+            coupling_constant(math.nan, 393e-9, 3e-3)
+        with pytest.raises(ValueError, match="length and wavelength must be positive"):
+            coupling_constant(1e-29, math.nan, 3e-3)
 
 
 class TestCouplingConstant:
@@ -88,6 +98,14 @@ class TestEmissionProbability:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             cavity_emission_probability(-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nan_and_infinite_rates_rejected(self, bad, slot):
+        rates = [1.0, 1.0, 1.0]
+        rates[slot] = bad
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            cavity_emission_probability(*rates)
 
     def test_bounded_on_random_rates(self):
         rng = np.random.default_rng(61)

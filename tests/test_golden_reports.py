@@ -57,6 +57,7 @@ CASES = {
     "iterate_a2_1_alpha2_0": (["iterate", "--a2", "1", "--alpha2", "0"], None),
     "mixed": (["mixed", "--fidelity", "0.7"], None),
     "mixed_fidelity_0": (["mixed", "--fidelity", "0"], None),
+    "mixed_fidelity_0_table": (["mixed", "--fidelity", "0", "--format", "table"], None),
     "mixed_fidelity_1": (["mixed", "--fidelity", "1"], None),
     "mixed_fidelity_1e-300": (["mixed", "--fidelity", "1e-300"], None),
     "monte_carlo_a2_0": (["monte-carlo", "--a2", "0", "--trials", "50", "--seed", "3"], None),
@@ -69,6 +70,7 @@ CASES = {
     "throughput_paper_mixed": (["throughput", "--preset", "paper-mixed"], None),
     "throughput_paper_product": (["throughput", "--preset", "paper-product"], None),
     "throughput_paper_cavity": (["throughput", "--preset", "paper-cavity"], None),
+    "throughput_paper_cavity_table": (["throughput", "--preset", "paper-cavity", "--format", "table"], None),
     "throughput_custom": (["throughput"], _CUSTOM_THROUGHPUT),
     "sweep_a2_csv": (_SWEEP_A2, None),
     "sweep_a2_json": ([*_SWEEP_A2, "--format", "json"], None),

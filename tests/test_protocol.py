@@ -1,11 +1,12 @@
 import cmath
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from ionmzi import protocol
+from ionmzi import cli, protocol
 from ionmzi.protocol import (
     ENTRY_LOWER_FORWARD,
     ENTRY_UPPER_BACKWARD,
@@ -17,7 +18,6 @@ from ionmzi.protocol import (
     ion_pair_pure_state,
     propagate,
     run_mixed,
-    run_product,
     single_pass,
 )
 from ionmzi.states import (
@@ -277,42 +277,56 @@ class TestEntryAndPolarization:
         assert enclosed.post_recycle == getattr(plain, f"post_detect_{mirror_port}")
 
 
+def single_pass_report(*flags: str) -> dict:
+    """The results of a single-pass CLI report, read back from its JSON."""
+    return json.loads(cli.run(cli.parse_config(["single-pass", *flags])))["results"]
+
+
 class TestRunProduct:
+    """A product input: ``single_pass`` on ``IonPairState.product``, and the single-pass report's balance."""
+
     def test_balanced_half_half(self):
-        run = run_product(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF)
-        assert run.balanced
-        assert run.result.p_detect_lower == pytest.approx(0.125, abs=1e-12)
-        assert run.fidelity_vs_psi_minus == pytest.approx(1.0, abs=1e-12)
+        result = single_pass(IonPairState.product(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF))
+        assert result.p_detect_lower == pytest.approx(0.125, abs=1e-12)
+        assert result.post_detect_lower.fidelity(bell_psi_minus()) == pytest.approx(1.0, abs=1e-12)
+        report = single_pass_report("--a2", "0.5")
+        assert report["balanced"] is True
+        assert report["fidelity_detect_lower_vs_psi_minus"] == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_poles(self):
-        run = run_product(1.0, 0.0, 0.0, 1.0)
-        assert not run.balanced
-        assert run.result.p_detect_lower == pytest.approx(0.25, abs=1e-12)
-        post = run.result.post_detect_lower
+        result = single_pass(IonPairState.product(1.0, 0.0, 0.0, 1.0))
+        assert result.p_detect_lower == pytest.approx(0.25, abs=1e-12)
+        post = result.post_detect_lower
         assert abs(post.c_pm) == pytest.approx(1.0, abs=1e-12)
-        assert run.fidelity_vs_psi_minus == pytest.approx(0.5, abs=1e-12)
+        assert post.fidelity(bell_psi_minus()) == pytest.approx(0.5, abs=1e-12)
+        report = single_pass_report("--a2", "0", "--alpha2", "1")
+        assert report["balanced"] is False
+        assert report["fidelity_detect_lower_vs_psi_minus"] == pytest.approx(0.5, abs=1e-12)
 
     def test_both_plus_always_scatters(self):
-        run = run_product(1.0, 0.0, 1.0, 0.0)
-        assert run.result.p_scatter_u + run.result.p_scatter_l == pytest.approx(1.0, abs=1e-12)
-        assert run.result.p_detect_upper == pytest.approx(0.0, abs=1e-15)
-        assert run.result.p_detect_lower == pytest.approx(0.0, abs=1e-15)
+        result = single_pass(IonPairState.product(1.0, 0.0, 1.0, 0.0))
+        assert result.p_scatter_u + result.p_scatter_l == pytest.approx(1.0, abs=1e-12)
+        assert result.p_detect_upper == pytest.approx(0.0, abs=1e-15)
+        assert result.p_detect_lower == pytest.approx(0.0, abs=1e-15)
 
     def test_unnormalized_inputs_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
-            run_product(1.0, 1.0, SQRT_HALF, SQRT_HALF)
+            IonPairState.product(1.0, 1.0, SQRT_HALF, SQRT_HALF)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="upper-ion amplitudes must be normalized"):
-                run_product(bad, 1.0, 1.0, 0.0)
-            with pytest.raises(ValueError, match="lower-ion amplitudes must be normalized"):
-                run_product(1.0, 0.0, 0.0, bad)
+            with pytest.raises(ValueError, match="ion-pair amplitudes must be normalized"):
+                IonPairState.product(bad, 1.0, 1.0, 0.0)
+            with pytest.raises(ValueError, match="ion-pair amplitudes must be normalized"):
+                IonPairState.product(1.0, 0.0, 0.0, bad)
 
     def test_balanced_moduli_with_phases_still_balanced(self):
         phase = cmath.exp(0.9j)
-        run = run_product(SQRT_HALF * phase, SQRT_HALF, SQRT_HALF, SQRT_HALF)
-        assert run.balanced
+        result = single_pass(IonPairState.product(SQRT_HALF * phase, SQRT_HALF, SQRT_HALF, SQRT_HALF))
         # equal moduli guarantee maximal entanglement, not this particular ray
-        assert run.fidelity_vs_psi_minus == pytest.approx(math.cos(0.45) ** 2, abs=1e-12)
+        expected = math.cos(0.45) ** 2
+        assert result.post_detect_lower.fidelity(bell_psi_minus()) == pytest.approx(expected, abs=1e-12)
+        report = single_pass_report("--a2", "0.5", "--phase-alpha", "0.9")
+        assert report["balanced"] is True
+        assert report["fidelity_detect_lower_vs_psi_minus"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestRunMixed:
