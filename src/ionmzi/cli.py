@@ -175,18 +175,21 @@ def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> floa
     return total
 
 
+def _pooled(components: tuple, iterate, *names: str) -> dict[str, float]:
+    """The named figures of ``iterate(ions)``, each pooled over (weight, ions, ...) components in a plain
+    loop in component order, as :func:`_fidelity_vs` pools."""
+    pooled = dict.fromkeys(names, 0.0)
+    for weight, ions, *_ in components:
+        result = iterate(ions)
+        for name in names:
+            pooled[name] += weight * getattr(result, name)
+    return pooled
+
+
 def _run_mixed(cfg: RunConfig) -> dict:
     run = protocol.run_mixed(cfg.fidelity)
-    iterated_entangled = 0.0
-    iterated_scattered = 0.0
-    iterated_stuck = 0.0
-    numeric_entangled = 0.0
-    for weight, ions, _ in run.components:
-        part = recycler.iterate_analytic(ions)
-        iterated_entangled += weight * part.p_entangled
-        iterated_scattered += weight * part.p_scattered
-        iterated_stuck += weight * part.p_stuck
-        numeric_entangled += weight * recycler.iterate_numeric(ions, cfg.max_passes).p_entangled
+    iterated = _pooled(run.components, recycler.iterate_analytic, "p_entangled", "p_scattered", "p_stuck")
+    numeric = _pooled(run.components, lambda ions: recycler.iterate_numeric(ions, cfg.max_passes), "p_entangled")
     return {
         "fidelity": cfg.fidelity,
         "single_pass": {
@@ -196,12 +199,7 @@ def _run_mixed(cfg: RunConfig) -> dict:
             "fidelity_lower_vs_psi_minus": _fidelity_vs(run.post_detect_lower, bell_psi_minus()),
             "fidelity_upper_vs_psi_plus": _fidelity_vs(run.post_detect_upper, bell_psi_plus()),
         },
-        "iterated": {
-            "p_entangled": iterated_entangled,
-            "p_scattered": iterated_scattered,
-            "p_stuck": iterated_stuck,
-            "p_entangled_numeric": numeric_entangled,
-        },
+        "iterated": {**iterated, "p_entangled_numeric": numeric["p_entangled"]},
     }
 
 
@@ -225,13 +223,10 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
 
 
 def _p_protocol(kind: str, value: float) -> float:
-    """Iterated success of the mixed input with fidelity ``value``, pooled over its components in a
-    plain loop as :func:`_fidelity_vs` pools, or of the matched product input with m+ population ``value``."""
+    """Iterated success of the mixed input with fidelity ``value``, pooled over its components, or of the
+    matched product input with m+ population ``value``."""
     if kind == "mixed":
-        total = 0.0
-        for weight, ions in protocol._mixed_components(value):
-            total += weight * recycler.iterate_analytic(ions).p_entangled
-        return total
+        return _pooled(protocol._mixed_components(value), recycler.iterate_analytic, "p_entangled")["p_entangled"]
     amp_plus = math.sqrt(value)
     amp_minus = math.sqrt(1.0 - value)
     ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)
@@ -288,7 +283,7 @@ def _mixed_point(point: RunConfig) -> dict:
         "p_detect_lower": run.p_detect_lower,
         "p_detect_upper": run.p_detect_upper,
         "p_scattered": run.p_scatter_u + run.p_scatter_l,
-        "p_entangled_iterated": _p_protocol("mixed", point.fidelity),
+        "p_entangled_iterated": _pooled(run.components, recycler.iterate_analytic, "p_entangled")["p_entangled"],
     }
 
 

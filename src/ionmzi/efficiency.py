@@ -113,6 +113,10 @@ def cavity_emission_probability(cavity_decay: float, coupling: float, loss_rate:
     """
     if not all(0.0 <= rate < math.inf for rate in (cavity_decay, coupling, loss_rate)):
         raise ValueError("rates must be nonnegative")
+    # The formula is homogeneous of degree 0 in the rates.  Scaling them exactly, by the power of two that
+    # brings the largest into [0.5, 1), keeps its terms from overflowing or underflowing at any scale.
+    _, exponent = math.frexp(max(cavity_decay, coupling, loss_rate))
+    cavity_decay, coupling, loss_rate = (math.ldexp(rate, -exponent) for rate in (cavity_decay, coupling, loss_rate))
     denominator = (cavity_decay + loss_rate) * (
         cavity_decay * loss_rate + 4.0 * coupling * coupling
     )

@@ -14,9 +14,13 @@ lower ion), is
 * the upper output carries ``(i/2) (c_mp |m-,m+> + c_pm |m+,m-> + 2 c_mm |m-,m->)``,
 * the lower output carries ``(1/2) (c_mp |m-,m+> - c_pm |m+,m->)``.
 
-``single_pass`` never evaluates these formulas.  It replays three stages composed
-from the element tables, checked against the composed element maps at first use,
-and is pinned against an independent hand-derived oracle in the test suite.
+``single_pass`` never evaluates these formulas.  At first use for a polarization and
+entry it composes three stages from the element tables and emits them, with the
+branch readout, as one straight-line Python function that repeats the element maps'
+arithmetic in their order; that function is checked against the composed element
+maps before it is cached, and is pinned against an independent hand-derived oracle
+in the test suite.  Its post states are built without the public constructor's
+conversion loop, but keep its norm check.
 """
 
 from __future__ import annotations
@@ -192,8 +196,8 @@ def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
 
     Three stages: the pruned input, the first splitter with each target moved through both ion maps
     (one to one), and the second splitter.  A stage lists its output kets in index order, each as
-    (input slot, factors applied in turn) in the order its element map appends them.  Checked at
-    first use against :func:`propagate`.
+    (input slot, factors applied in turn) in the order its element map appends them.  The readout
+    gives each output ket's :func:`_place`.
     """
     photon = _entry_photon(photon_pol, entry)
     inputs = [basis_index(BasisState(photon, *levels)) for levels in _PAIR_LEVELS]
@@ -207,47 +211,119 @@ def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
                 merged.setdefault(moved[target], []).append((slot, factors))
         kets = sorted(merged)
         stages.append(tuple(tuple(merged[ket]) for ket in kets))
-    readout = []  # branches: scatter at U, scatter at L, upper port, lower port
-    for ket in map(KETS.__getitem__, kets):
-        site = ket.photon.scattered_at
-        if site is None:  # a port: the levels' place in IonPairState
-            readout.append((2 if ket.photon.port is Port.UPPER else 3, _PAIR_LEVELS.index((ket.ion_u, ket.ion_l))))
-        else:  # a scatter site: the surviving ion's level
-            branch, survivor = (0, ket.ion_l) if site is IonId.ION_U else (1, ket.ion_u)
-            readout.append((branch, _ION_LEVELS.index(survivor)))
-    for start in inputs:
-        final = _replay(stages, [complex(ket == start) for ket in inputs])
-        composed = propagate(PureState(indexed=[(start, 1.0)])).indexed_items()
-        if [(ket, amp) for ket, amp in zip(kets, final) if amp] != list(composed):
-            raise RuntimeError("single-pass schedule disagrees with the element maps")
-    return tuple(stages), tuple(readout)
+    return tuple(stages), tuple(_place(KETS[ket]) for ket in kets)
 
 
-def _replay(stages: tuple, amps: list[complex]) -> list[complex]:
-    """Run ``amps`` through the stages with the element maps' arithmetic and pruning.
+def _place(ket: BasisState) -> tuple[int, int]:
+    """Where an output ket is read: (branch, slot), the branches being scatter at U, scatter at L, the
+    upper port and the lower port, and the slot a port's levels' place in IonPairState or a scatter
+    site's surviving level in SingleIonState."""
+    site = ket.photon.scattered_at
+    if site is None:
+        return 2 if ket.photon.port is Port.UPPER else 3, _PAIR_LEVELS.index((ket.ion_u, ket.ion_l))
+    branch, survivor = (0, ket.ion_l) if site is IonId.ION_U else (1, ket.ion_u)
+    return branch, _ION_LEVELS.index(survivor)
 
-    A pruned ket holds 0j; its exact zeros change no sum, as a merge starts from 0j like
-    ``PureState``'s, so no partial sum holds a -0.0 to flip.
+
+@functools.cache
+def _kernel(photon_pol: Polarization, entry: Entry):
+    """:func:`single_pass` at one polarization and entry: one straight-line function emitted from the schedule.
+
+    The function writes out the element maps' arithmetic in their order: each stage's merge as
+    ``0j + amp * factor * ... + ...`` over the tables' own factor objects, pruned to 0j below
+    ``PRUNE_EPS``; then each branch's mass summed in readout order, and its post state scaled by
+    ``mass ** -0.5``.
+
+    A merged, pruned amplitude is *clean*: no part is -0.0, as ``0.0 + x`` never is, and it is 0j or
+    not below ``PRUNE_EPS``.  ``0j +`` and the prune leave a clean amplitude as it is, and ``0.0 +``
+    leaves a mass as it is, so the function omits them for a ket passing through a stage unmoved and at
+    the start of a readout sum.  A slot that no ket reaches holds ``0j``, which is ``0j * inv`` for the
+    positive finite ``inv``.
+
+    Called with ``final=True`` the function returns the last stage's amplitudes instead.  Those are
+    checked here against :func:`propagate` for each unit input, so the code that runs is the code that
+    was checked.
     """
-    for stage in stages:
+    stages, readout = _schedule(photon_pol, entry)
+    namespace = {
+        "PRUNE_EPS": PRUNE_EPS, "PassResult": PassResult, "SingleIonState": SingleIonState, "_post_state": _post_state
+    }
+    factor_names: dict[int, str] = {}  # by the factor object's id
+
+    def product(amp: str, factors: tuple) -> str:
+        for factor in factors:
+            name = factor_names.setdefault(id(factor), f"f{len(factor_names)}")
+            namespace[name] = factor
+            amp = f"{amp} * {name}"
+        return amp
+
+    lines = ["def kernel(c_pp, c_pm, c_mp, c_mm, enclosed, final=False):"]
+    amps = ["c_pp", "c_pm", "c_mp", "c_mm"]  # the input, which may hold -0.0 parts
+    for number, stage in enumerate(stages):
         out = []
-        for terms in stage:
-            merged = 0j
-            for slot, factors in terms:
-                amp = amps[slot]
-                for factor in factors:
-                    amp = amp * factor
-                merged = merged + amp
-            out.append(merged if abs(merged) >= PRUNE_EPS else 0j)
+        for index, terms in enumerate(stage):
+            (slot, factors), *more = terms
+            if number and not factors and not more:  # a clean amplitude passing through
+                out.append(amps[slot])
+                continue
+            name = f"a{number}_{index}"
+            merge = " + ".join(["0j", *(product(amps[slot], factors) for slot, factors in terms)])
+            lines += [f"    {name} = {merge}", f"    {name} = {name} if abs({name}) >= PRUNE_EPS else 0j"]
+            out.append(name)
         amps = out
-    return amps
+    lines += ["    if final:", f"        return [{', '.join(amps)}]"]
+    for branch, make, levels in ((0, "SingleIonState", _ION_LEVELS), (1, "SingleIonState", _ION_LEVELS),
+                                 (2, "_post_state", _PAIR_LEVELS), (3, "_post_state", _PAIR_LEVELS)):
+        read = [(slot, amp) for (at, slot), amp in zip(readout, amps) if at == branch]
+        mass = " + ".join(f"({amp}.real * {amp}.real + {amp}.imag * {amp}.imag)" for _, amp in read)
+        sums = [" + ".join(amp for slot, amp in read if slot == target) for target in range(len(levels))]
+        post = ", ".join(f"({amp_sum}) * inv" if amp_sum else "0j" for amp_sum in sums)
+        lines += [
+            f"    m{branch} = {mass}",
+            f"    if m{branch} <= 0.0:",
+            f"        m{branch}, s{branch} = 0.0, None",
+            "    else:",
+            f"        inv = m{branch} ** -0.5",
+            f"        s{branch} = {make}({post})",
+        ]
+    forward = entry[1] is Direction.FORWARD  # the mirror port is the upper one
+    enclosed_masses = "0.0, m3, m2" if forward else "m2, 0.0, m3"  # the mirror port's mass recycles
+    states = f"s2, s3, {'s2' if forward else 's3'}, s0, s1"
+    lines += [
+        "    if enclosed:",
+        f"        return PassResult(m0, m1, {enclosed_masses}, {states})",
+        f"    return PassResult(m0, m1, m2, m3, 0.0, {states})",
+    ]
+    filename = f"<single_pass {photon_pol.value} {entry[0].value} {entry[1].value}>"
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    kernel = namespace["kernel"]
+    photon = _entry_photon(photon_pol, entry)
+    for start, levels in enumerate(_PAIR_LEVELS):
+        final = kernel(*[complex(slot == start) for slot in range(4)], False, True)
+        composed = propagate(PureState([(BasisState(photon, *levels), 1.0)])).indexed_items()
+        reached = [(place, amp) for place, amp in zip(readout, final) if amp]
+        if reached != [(_place(KETS[ket]), amp) for ket, amp in composed]:
+            raise RuntimeError("single-pass schedule disagrees with the element maps")
+    return kernel
 
 
-def _branch(mass: float, amps: list[complex], make):
-    if mass <= 0.0:
-        return 0.0, None
-    inv = mass ** -0.5
-    return mass, make(*[amp * inv for amp in amps])
+def _post_state(c_pp: complex, c_pm: complex, c_mp: complex, c_mm: complex) -> IonPairState:
+    """An IonPairState from amplitudes that are already complex: the public constructor's norm check,
+    without its conversion loop."""
+    state = object.__new__(IonPairState)
+    object.__setattr__(state, "c_pp", c_pp)
+    object.__setattr__(state, "c_pm", c_pm)
+    object.__setattr__(state, "c_mp", c_mp)
+    object.__setattr__(state, "c_mm", c_mm)
+    norm_squared = (  # IonPairState.norm_squared, with each abs2 written out
+        (c_pp.real * c_pp.real + c_pp.imag * c_pp.imag)
+        + (c_pm.real * c_pm.real + c_pm.imag * c_pm.imag)
+        + (c_mp.real * c_mp.real + c_mp.imag * c_mp.imag)
+        + (c_mm.real * c_mm.real + c_mm.imag * c_mm.imag)
+    )
+    if not abs(norm_squared - 1.0) <= NORM_TOL:
+        raise ValueError("ion-pair amplitudes must be normalized")
+    return state
 
 
 def single_pass(
@@ -262,34 +338,7 @@ def single_pass(
     ``enclosed`` the upper-port mass recycles; for backward entry the
     roles of the two ports swap.  Replays :func:`evolve_single_pass` bit for bit.
     """
-    stages, readout = _schedule(photon_pol, entry)
-    masses = [0.0] * 4
-    amps = [[0j, 0j], [0j, 0j], [0j] * 4, [0j] * 4]
-    for (branch, slot), amp in zip(readout, _replay(stages, [ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm])):
-        masses[branch] += amp.real * amp.real + amp.imag * amp.imag
-        amps[branch][slot] += amp
-    (p_su, post_su), (p_sl, post_sl), (upper_mass, upper_state), (lower_mass, lower_state) = map(
-        _branch, masses, amps, (SingleIonState, SingleIonState, IonPairState, IonPairState)
-    )
-
-    forward = entry[1] is Direction.FORWARD  # the mirror port is the upper one
-    p_upper, p_lower, p_recycle = upper_mass, lower_mass, 0.0
-    if enclosed and forward:
-        p_upper, p_recycle = 0.0, upper_mass
-    elif enclosed:
-        p_lower, p_recycle = 0.0, lower_mass
-    return PassResult(
-        p_scatter_u=p_su,
-        p_scatter_l=p_sl,
-        p_detect_upper=p_upper,
-        p_detect_lower=p_lower,
-        p_recycle=p_recycle,
-        post_detect_upper=upper_state,
-        post_detect_lower=lower_state,
-        post_recycle=upper_state if forward else lower_state,
-        post_scatter_u=post_su,
-        post_scatter_l=post_sl,
-    )
+    return _kernel(photon_pol, entry)(ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm, enclosed)
 
 
 #: A heralded mixture: (weight, ion-pair state) components, weights in (0, 1] summing to one.

@@ -15,7 +15,10 @@ number of ``single_pass`` calls.  ``reference_element_tables`` and
 ``reference_schedule`` are the element tables and the single-pass schedule
 as they were built with their own ket-index arithmetic, before ``states``
 alone knew the ket layout; the tables in ``ionmzi.elements`` and the
-schedule in ``ionmzi.protocol`` are pinned equal to them.
+schedule in ``ionmzi.protocol`` are pinned equal to them.  The schedule's
+first-use check replays it with ``_replay``, the loop that ran the schedule
+before ``single_pass`` was generated as straight-line code; it is now this
+reference's own.
 
 The references restate what they pin rather than import it: the ket index
 arithmetic (``PAIRS``, ``MODE_INDEX``, ``LEVEL_INDEX``), which ``ionmzi.states``
@@ -35,7 +38,6 @@ from ionmzi.protocol import (
     IonPairState,
     PassResult,
     SingleIonState,
-    _replay,
     evolve_single_pass,
     propagate,
     single_pass,
@@ -43,6 +45,7 @@ from ionmzi.protocol import (
 from ionmzi.recycler import MAX_PASSES, TRUNCATION_EPSILON, IterationResult, MonteCarloResult
 from ionmzi.states import (
     MODES,
+    PRUNE_EPS,
     BasisState,
     Direction,
     IonId,
@@ -382,6 +385,26 @@ _SPLITTER, _ABSORPTION = reference_element_tables()
 
 #: Pair indices (3 * ion_u + ion_l) of |m+,m+>, |m+,m->, |m-,m+>, |m-,m->: IonPairState's field order.
 _METASTABLE_PAIRS = (0, 1, 3, 4)
+
+
+def _replay(stages: tuple, amps: list[complex]) -> list[complex]:
+    """Run ``amps`` through the stages with the element maps' arithmetic and pruning.
+
+    A pruned ket holds 0j; its exact zeros change no sum, as a merge starts from 0j like
+    ``PureState``'s, so no partial sum holds a -0.0 to flip.
+    """
+    for stage in stages:
+        out = []
+        for terms in stage:
+            merged = 0j
+            for slot, factors in terms:
+                amp = amps[slot]
+                for factor in factors:
+                    amp = amp * factor
+                merged = merged + amp
+            out.append(merged if abs(merged) >= PRUNE_EPS else 0j)
+        amps = out
+    return amps
 
 
 def reference_schedule(photon_pol: Polarization, entry: tuple[Port, Direction]) -> tuple[tuple, tuple]:

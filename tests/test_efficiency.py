@@ -91,6 +91,15 @@ class TestEmissionProbability:
     def test_no_coupling_no_emission(self):
         assert cavity_emission_probability(1e7, 0.0, 1e6) == 0.0
 
+    @pytest.mark.parametrize(
+        "rates, expected",
+        [((1e200, 1e200, 1e200), 0.4), ((1e160, 1e160, 0.0), 1.0), ((1e-120, 1e-120, 1e-120), 0.4)],
+        ids=["overflowing", "overflowing-lossless", "underflowing"],
+    )
+    def test_extreme_scales_give_the_unit_scale_value(self, rates, expected):
+        # homogeneous of degree 0: the same ratios as (1, 1, 1) and (1, 1, 0)
+        assert cavity_emission_probability(*rates) == expected
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="zero denominator"):
             cavity_emission_probability(0.0, 0.0, 0.0)

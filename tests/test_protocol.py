@@ -214,6 +214,29 @@ class TestSchedule:
                         reference_single_pass(ions, pol, entry, enclosed)
                     )
 
+    def test_post_states_rebuild_through_the_public_constructor(self):
+        """Post states are built without the public conversion loop: each holds complex amplitudes
+        and passes the public check unchanged."""
+        rng = np.random.default_rng(79)
+        for _ in range(500):
+            ions = random_edge_ion_pair(rng)
+            for pol in Polarization:
+                for entry in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+                    for enclosed in (False, True):
+                        result = single_pass(ions, pol, entry, enclosed)
+                        for post in (result.post_detect_upper, result.post_detect_lower, result.post_recycle):
+                            if post is None:
+                                continue
+                            amps = (post.c_pp, post.c_pm, post.c_mp, post.c_mm)
+                            assert all(type(amp) is complex for amp in amps)
+                            assert repr(IonPairState(*amps)) == repr(post)
+
+    def test_post_states_keep_the_norm_check(self):
+        with pytest.raises(ValueError, match="ion-pair amplitudes must be normalized"):
+            protocol._post_state(1 + 0j, 1 + 0j, 0j, 0j)
+        with pytest.raises(ValueError, match="ion-pair amplitudes must be normalized"):
+            protocol._post_state(complex(math.nan, 0.0), 0j, 0j, 0j)
+
     @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
     @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
     def test_schedule_matches_reference(self, pol, entry):
@@ -227,12 +250,12 @@ class TestSchedule:
             return PureState(indexed=[(index, -amp), *rest])
 
         monkeypatch.setattr(protocol, "propagate", one_phase_flipped)
-        protocol._schedule.cache_clear()
+        protocol._kernel.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="disagrees with the element maps"):
                 single_pass(bell_psi_plus())
         finally:
-            protocol._schedule.cache_clear()
+            protocol._kernel.cache_clear()
 
 
 class TestEntryAndPolarization:
