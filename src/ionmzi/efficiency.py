@@ -151,7 +151,7 @@ def throughput(
     ):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    if not photon_rate >= 0.0:
+    if not 0.0 <= photon_rate < math.inf:
         raise ValueError("photon_rate must be nonnegative")
     p_total = p_protocol * p_cav * detector_efficiency * outcoupling
     return ThroughputReport(

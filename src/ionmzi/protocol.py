@@ -15,17 +15,18 @@ lower ion), is
 * the lower output carries ``(1/2) (c_mp |m-,m+> - c_pm |m+,m->)``.
 
 ``single_pass`` never evaluates these formulas.  At first use for a polarization and
-entry it composes three stages from the element tables and emits them, with the
-branch readout, as one straight-line Python function that repeats the element maps'
-arithmetic in their order; that function is checked against the composed element
-maps before it is cached, and is pinned against an independent hand-derived oracle
-in the test suite.  Its post states are built without the public constructor's
-conversion loop, but keep its norm check.
+entry it walks the input kets through the element tables (splitter, both ions, splitter)
+and writes each step, with the branch readout, as one straight-line Python function that
+repeats the element maps' arithmetic in their order.  That function is checked against the
+composed element maps before it is cached, and is pinned against independent references in
+the test suite.  Its post states skip the public constructor's conversion loop, but keep its
+norm check.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .elements import _ABSORPTION, _SPLITTER, _SQRT_HALF, beam_splitter, ion_interaction
@@ -82,6 +83,13 @@ class IonPairState:
         cls, c_pp: complex = 0j, c_pm: complex = 0j, c_mp: complex = 0j, c_mm: complex = 0j
     ) -> "IonPairState":
         norm_sq = abs2(complex(c_pp)) + abs2(complex(c_pm)) + abs2(complex(c_mp)) + abs2(complex(c_mm))
+        if not 2.0 ** -1022 <= norm_sq < math.inf:  # zero, below the normal range, overflowed or NaN
+            # Shift every part exactly by 2**(100 j), the j that brings the largest part within a factor 2**51 of
+            # one, so such an input gives the bits of the ordinary input it is 2**(100 j) times; in range nothing moves.
+            amps = [complex(c) for c in (c_pp, c_pm, c_mp, c_mm)]
+            shift = -100 * round(math.frexp(max(abs(part) for c in amps for part in (c.real, c.imag)))[1] / 100)
+            c_pp, c_pm, c_mp, c_mm = (complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift)) for c in amps)
+            norm_sq = abs2(c_pp) + abs2(c_pm) + abs2(c_mp) + abs2(c_mm)
         if norm_sq == 0.0:
             raise ValueError("null ion-pair state")
         inv = norm_sq ** -0.5
@@ -190,30 +198,6 @@ class PassResult:
     post_scatter_l: SingleIonState | None
 
 
-@functools.cache
-def _schedule(photon_pol: Polarization, entry: Entry) -> tuple[tuple, tuple]:
-    """One traversal as stages of ket moves composed from the element tables, and its readout.
-
-    Three stages: the pruned input, the first splitter with each target moved through both ion maps
-    (one to one), and the second splitter.  A stage lists its output kets in index order, each as
-    (input slot, factors applied in turn) in the order its element map appends them.  The readout
-    gives each output ket's :func:`_place`.
-    """
-    photon = _entry_photon(photon_pol, entry)
-    inputs = [basis_index(BasisState(photon, *levels)) for levels in _PAIR_LEVELS]
-    kets = sorted(inputs)
-    stages = [tuple(((inputs.index(ket), ()),) for ket in kets)]  # the input, pruned as PureState prunes
-    through_ions = [_ABSORPTION[IonId.ION_L][ket] for ket in _ABSORPTION[IonId.ION_U]]
-    for moved in (through_ions, range(len(KETS))):  # each splitter, then where its targets move
-        merged: dict[int, list] = {}
-        for slot, ket in enumerate(kets):
-            for target, factors in _SPLITTER[ket]:
-                merged.setdefault(moved[target], []).append((slot, factors))
-        kets = sorted(merged)
-        stages.append(tuple(tuple(merged[ket]) for ket in kets))
-    return tuple(stages), tuple(_place(KETS[ket]) for ket in kets)
-
-
 def _place(ket: BasisState) -> tuple[int, int]:
     """Where an output ket is read: (branch, slot), the branches being scatter at U, scatter at L, the
     upper port and the lower port, and the slot a port's levels' place in IonPairState or a scatter
@@ -227,24 +211,27 @@ def _place(ket: BasisState) -> tuple[int, int]:
 
 @functools.cache
 def _kernel(photon_pol: Polarization, entry: Entry):
-    """:func:`single_pass` at one polarization and entry: one straight-line function emitted from the schedule.
+    """:func:`single_pass` at one polarization and entry: one straight-line function emitted from the tables.
 
-    The function writes out the element maps' arithmetic in their order: each stage's merge as
-    ``0j + amp * factor * ... + ...`` over the tables' own factor objects, pruned to 0j below
-    ``PRUNE_EPS``; then each branch's mass summed in readout order, and its post state scaled by
-    ``mass ** -0.5``.
+    The input kets are walked through ``_SPLITTER``, on through both ion maps, and through ``_SPLITTER``
+    again.  Each ket a splitter reaches is written as reached: its merge as ``0j + amp * factor * ...
+    + ...`` over the tables' own factor objects, bound by name, pruned to 0j below ``PRUNE_EPS``.  Each
+    branch's mass is summed in readout order (by :func:`_place`), and its post state scaled by ``mass ** -0.5``.
 
     A merged, pruned amplitude is *clean*: no part is -0.0, as ``0.0 + x`` never is, and it is 0j or
     not below ``PRUNE_EPS``.  ``0j +`` and the prune leave a clean amplitude as it is, and ``0.0 +``
-    leaves a mass as it is, so the function omits them for a ket passing through a stage unmoved and at
-    the start of a readout sum.  A slot that no ket reaches holds ``0j``, which is ``0j * inv`` for the
-    positive finite ``inv``.
+    leaves a mass as it is, so the function omits them for a ket passing the second splitter unmoved
+    and at the start of a readout sum.  A slot that no ket reaches holds ``0j``, which is ``0j * inv``
+    for the positive finite ``inv``.
+
+    The raw inputs need no pruned, cleaned copy of their own: every input ket is on the beam, so the first
+    splitter moves it and scales each of its terms by sqrt(1/2) < 1, which prunes an input below ``PRUNE_EPS``;
+    that stage's ``0j +`` clears any -0.0 part; and a zero part meets a nonzero value only by addition, which
+    leaves the value as it is.  The pass-through rule, for clean amplitudes only, is kept off the first splitter.
 
     Called with ``final=True`` the function returns the last stage's amplitudes instead.  Those are
-    checked here against :func:`propagate` for each unit input, so the code that runs is the code that
-    was checked.
+    checked here against :func:`propagate` for each unit input, so the code that runs was checked.
     """
-    stages, readout = _schedule(photon_pol, entry)
     namespace = {
         "PRUNE_EPS": PRUNE_EPS, "PassResult": PassResult, "SingleIonState": SingleIonState, "_post_state": _post_state
     }
@@ -257,20 +244,27 @@ def _kernel(photon_pol: Polarization, entry: Entry):
             amp = f"{amp} * {name}"
         return amp
 
+    photon = _entry_photon(photon_pol, entry)
     lines = ["def kernel(c_pp, c_pm, c_mp, c_mm, enclosed, final=False):"]
-    amps = ["c_pp", "c_pm", "c_mp", "c_mm"]  # the input, which may hold -0.0 parts
-    for number, stage in enumerate(stages):
-        out = []
-        for index, terms in enumerate(stage):
-            (slot, factors), *more = terms
-            if number and not factors and not more:  # a clean amplitude passing through
-                out.append(amps[slot])
+    amps = {basis_index(BasisState(photon, *levels)): name  # by ket, in index order
+            for levels, name in zip(_PAIR_LEVELS, ("c_pp", "c_pm", "c_mp", "c_mm"))}
+    through_ions = [_ABSORPTION[IonId.ION_L][ket] for ket in _ABSORPTION[IonId.ION_U]]
+    for number, moved in ((1, through_ions), (2, range(len(KETS)))):  # each splitter, then where its targets move
+        merged: dict[int, list] = {}
+        for ket, amp in amps.items():
+            for target, factors in _SPLITTER[ket]:
+                merged.setdefault(moved[target], []).append((amp, factors))
+        amps = {}
+        for index, ket in enumerate(sorted(merged)):
+            (amp, factors), *more = terms = merged[ket]
+            if number > 1 and not factors and not more:  # a clean amplitude passing through
+                amps[ket] = amp
                 continue
             name = f"a{number}_{index}"
-            merge = " + ".join(["0j", *(product(amps[slot], factors) for slot, factors in terms)])
+            merge = " + ".join(["0j", *(product(amp, factors) for amp, factors in terms)])
             lines += [f"    {name} = {merge}", f"    {name} = {name} if abs({name}) >= PRUNE_EPS else 0j"]
-            out.append(name)
-        amps = out
+            amps[ket] = name
+    readout, amps = [_place(KETS[ket]) for ket in amps], list(amps.values())
     lines += ["    if final:", f"        return [{', '.join(amps)}]"]
     for branch, make, levels in ((0, "SingleIonState", _ION_LEVELS), (1, "SingleIonState", _ION_LEVELS),
                                  (2, "_post_state", _PAIR_LEVELS), (3, "_post_state", _PAIR_LEVELS)):
@@ -297,13 +291,12 @@ def _kernel(photon_pol: Polarization, entry: Entry):
     filename = f"<single_pass {photon_pol.value} {entry[0].value} {entry[1].value}>"
     exec(compile("\n".join(lines), filename, "exec"), namespace)
     kernel = namespace["kernel"]
-    photon = _entry_photon(photon_pol, entry)
     for start, levels in enumerate(_PAIR_LEVELS):
         final = kernel(*[complex(slot == start) for slot in range(4)], False, True)
         composed = propagate(PureState([(BasisState(photon, *levels), 1.0)])).indexed_items()
         reached = [(place, amp) for place, amp in zip(readout, final) if amp]
         if reached != [(_place(KETS[ket]), amp) for ket, amp in composed]:
-            raise RuntimeError("single-pass schedule disagrees with the element maps")
+            raise RuntimeError("generated single_pass disagrees with the element maps")
     return kernel
 
 

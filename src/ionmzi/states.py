@@ -219,8 +219,6 @@ def normalize(state: PureState) -> tuple[float, PureState]:
 
 def inner_product(bra: PureState, ket: PureState) -> complex:
     """<bra|ket>, conjugate-linear in the first argument."""
-    if len(bra) > len(ket):
-        return inner_product(ket, bra).conjugate()
     return sum((amp.conjugate() * ket._amps.get(index, 0j) for index, amp in bra.indexed_items()), 0j)
 
 

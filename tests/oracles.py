@@ -4,7 +4,7 @@
 traversal directly, term by term, without touching the element maps, so
 the element-composed driver can be pinned against it coefficient by
 coefficient.  ``reference_single_pass`` reads the branches straight off the
-composed state of ``evolve_single_pass``, so the scheduled ``single_pass``
+composed state of ``evolve_single_pass``, so the generated ``single_pass``
 can be pinned against it bit for bit.  ``ensemble_fidelity`` scores a
 heralded (weight, ion-pair state) ensemble against a target.
 ``reference_iterate_numeric`` and ``reference_monte_carlo`` are the two
@@ -14,11 +14,14 @@ driving ``single_pass`` round by round itself; the walkers in
 number of ``single_pass`` calls.  ``reference_element_tables`` and
 ``reference_schedule`` are the element tables and the single-pass schedule
 as they were built with their own ket-index arithmetic, before ``states``
-alone knew the ket layout; the tables in ``ionmzi.elements`` and the
-schedule in ``ionmzi.protocol`` are pinned equal to them.  The schedule's
-first-use check replays it with ``_replay``, the loop that ran the schedule
-before ``single_pass`` was generated as straight-line code; it is now this
-reference's own.
+alone knew the ket layout; the tables in ``ionmzi.elements`` are pinned
+equal to them.  ``ionmzi.protocol`` builds no schedule: it writes its
+straight-line ``single_pass`` function while it walks the element tables.
+That function's last-stage amplitudes are pinned by ``repr``, signed zeros
+included, to the reference schedule replayed by ``_replay``, the loop that
+ran the schedule before ``single_pass`` was generated.  The reference keeps
+the input stage, pruned as ``PureState`` prunes, that the generated
+function leaves out.
 
 The references restate what they pin rather than import it: the ket index
 arithmetic (``PAIRS``, ``MODE_INDEX``, ``LEVEL_INDEX``), which ``ionmzi.states``

@@ -175,7 +175,7 @@ class TestThroughput:
             for bad in (-0.1, 1.5, math.nan):
                 with pytest.raises(ValueError, match=rf"{key} must lie in \[0, 1\]"):
                     throughput(0.2, **reference_params(**{key: bad}))
-        for bad in (-1.0, math.nan):
+        for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="photon_rate must be nonnegative"):
                 throughput(0.2, **reference_params(photon_rate=bad))
         with pytest.raises(ValueError, match="p_protocol must lie in"):

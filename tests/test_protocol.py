@@ -31,6 +31,7 @@ from ionmzi.states import (
 
 from oracles import (
     SQRT_HALF,
+    _replay,
     closed_form_final_state,
     ensemble_fidelity,
     max_amplitude_delta,
@@ -54,8 +55,9 @@ class TestIonPairState:
         for bad in (math.nan, math.inf, complex(0.0, math.nan)):
             with pytest.raises(ValueError, match="normalized"):
                 IonPairState(c_pp=bad)
-            with pytest.raises(ValueError, match="normalized"):
-                IonPairState.from_unnormalized(c_pp=bad, c_mm=1.0)
+            for scale in (1.0, 1e-200, 1e200):  # the last two rescale by a power of two first
+                with pytest.raises(ValueError, match="normalized"):
+                    IonPairState.from_unnormalized(c_pp=bad, c_mm=scale)
 
     def test_from_unnormalized(self):
         state = IonPairState.from_unnormalized(c_pm=3.0, c_mp=4.0)
@@ -65,6 +67,17 @@ class TestIonPairState:
     def test_null_rejected(self):
         with pytest.raises(ValueError, match="null"):
             IonPairState.from_unnormalized()
+
+    def test_from_unnormalized_at_extreme_scales(self):
+        """Amplitudes whose squares overflow or underflow rescale to the unit-scale state, bit for bit."""
+        rng = np.random.default_rng(97)
+        for _ in range(5):
+            amps = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4)]
+            expected = repr(IonPairState.from_unnormalized(*amps))
+            for k in (-900, -600, 600, 900):
+                assert repr(IonPairState.from_unnormalized(*(c * 2.0 ** k for c in amps))) == expected
+        for scale in (1e-200, 1e200, 5e-324):
+            assert IonPairState.from_unnormalized(c_pm=scale) == IonPairState(c_pm=1.0)
 
     def test_bell_fidelities(self):
         assert bell_psi_plus().fidelity(bell_psi_minus()) == pytest.approx(0.0, abs=1e-15)
@@ -237,10 +250,22 @@ class TestSchedule:
         with pytest.raises(ValueError, match="ion-pair amplitudes must be normalized"):
             protocol._post_state(complex(math.nan, 0.0), 0j, 0j, 0j)
 
-    @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
-    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
-    def test_schedule_matches_reference(self, pol, entry):
-        assert protocol._schedule.__wrapped__(pol, entry) == reference_schedule(pol, entry)
+    def test_generated_stages_match_the_reference_sign_for_sign(self):
+        """The generated function's last-stage amplitudes equal the reference schedule's replay by ``repr``,
+        which shows a -0.0 part.  The reference keeps an input stage, merged and pruned as ``PureState``
+        merges and prunes, that the generated function leaves out."""
+        rng = np.random.default_rng(83)
+        states = [
+            *(IonPairState(*(complex(slot == start) for slot in range(4))) for start in range(4)),
+            IonPairState(c_pp=1.414213562373095e-12, c_mm=1.0),  # the prune tie
+            *(random_edge_ion_pair(rng) for _ in range(500)),
+        ]
+        for pol in Polarization:
+            for entry in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
+                stages, kernel = reference_schedule(pol, entry)[0], protocol._kernel(pol, entry)
+                for ions in states:
+                    amps = [ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm]
+                    assert repr(kernel(*amps, False, True)) == repr(_replay(stages, amps))
 
     def test_first_use_checks_the_schedule_against_the_composed_maps(self, monkeypatch):
         composed = protocol.propagate

@@ -312,7 +312,7 @@ class TestPackedKernel:
 
     def test_peak_memory_is_chunked(self):
         ions = balanced_product(0.03)
-        monte_carlo(ions, 1, seed=1)  # the single-pass schedule is built once, outside the trace
+        monte_carlo(ions, 1, seed=1)  # the single-pass function is generated once, outside the trace
         tracemalloc.start()
         try:
             monte_carlo(ions, 200_000, seed=1)

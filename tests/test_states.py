@@ -144,9 +144,12 @@ class TestInnerProduct:
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(11)
         kets = (KET_PP, KET_PM, KET_MP, KET_MM)
-        for _ in range(50):
-            a = PureState(dict(zip(kets, rng.standard_normal(4) + 1j * rng.standard_normal(4))))
-            b = PureState(dict(zip(kets, rng.standard_normal(4) + 1j * rng.standard_normal(4))))
+        pairs = [
+            tuple(PureState(dict(zip(kets, rng.standard_normal(4) + 1j * rng.standard_normal(4)))) for _ in range(2))
+            for _ in range(50)
+        ]
+        pairs.append((PureState({KET_PM: 0.6, KET_MP: 0.8j}), pairs[0][0]))  # unequal support, shorter first
+        for a, b in pairs:
             assert inner_product(a, b) == pytest.approx(inner_product(b, a).conjugate(), abs=1e-12)
 
     def test_conjugate_linear_in_first_argument(self):
