@@ -250,7 +250,9 @@ class TestSchedule:
         with pytest.raises(ValueError, match="ion-pair amplitudes must be normalized"):
             protocol._post_state(complex(math.nan, 0.0), 0j, 0j, 0j)
 
-    def test_generated_stages_match_the_reference_sign_for_sign(self):
+    @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
+    def test_schedule_matches_reference(self, pol, entry):
         """The generated function's last-stage amplitudes equal the reference schedule's replay by ``repr``,
         which shows a -0.0 part.  The reference keeps an input stage, merged and pruned as ``PureState``
         merges and prunes, that the generated function leaves out."""
@@ -260,12 +262,10 @@ class TestSchedule:
             IonPairState(c_pp=1.414213562373095e-12, c_mm=1.0),  # the prune tie
             *(random_edge_ion_pair(rng) for _ in range(500)),
         ]
-        for pol in Polarization:
-            for entry in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD):
-                stages, kernel = reference_schedule(pol, entry)[0], protocol._kernel(pol, entry)
-                for ions in states:
-                    amps = [ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm]
-                    assert repr(kernel(*amps, False, True)) == repr(_replay(stages, amps))
+        stages, kernel = reference_schedule(pol, entry)[0], protocol._kernel(pol, entry)
+        for ions in states:
+            amps = [ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm]
+            assert repr(kernel(*amps, False, True)) == repr(_replay(stages, amps))
 
     def test_first_use_checks_the_schedule_against_the_composed_maps(self, monkeypatch):
         composed = protocol.propagate
