@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 
 from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus
@@ -89,7 +89,7 @@ def _dump_json(value) -> str:
         return str(value)
     if isinstance(value, float):
         return _format_float(value)
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # a record is a tuple subclass, dumped by field name below
         return "[" + ",".join(_dump_json(item) for item in value) + "]"
     if isinstance(value, dict):
         parts = (
@@ -101,14 +101,14 @@ def _dump_json(value) -> str:
 
 def _jsonable(value) -> list | dict:
     """A report value that is not JSON data as JSON data: a complex number as ``[re, im]``,
-    a result object such as an ion state as its fields by name."""
+    a result record such as an ion state as its fields by name."""
     if isinstance(value, complex):
         return [value.real, value.imag]
-    return vars(value)
+    return value._asdict()
 
 
 def _iteration(result: recycler.IterationResult) -> dict:
-    return {**vars(result), "passes_distribution": list(result.passes_distribution.items())}
+    return {**result._asdict(), "passes_distribution": list(result.passes_distribution.items())}
 
 
 # --- scenario runners -------------------------------------------------------
@@ -292,11 +292,11 @@ def _mixed_point(point: RunConfig) -> dict:
 _SWEEPS = {
     "single_pass": (
         ("p_scatter_u", "p_scatter_l", "p_detect_upper", "p_detect_lower", "p_recycle"),
-        lambda point: vars(protocol.single_pass(_product_ions(point))),
+        lambda point: protocol.single_pass(_product_ions(point))._asdict(),
     ),
     "iterate": (
         ("p_entangled", "p_scattered", "p_stuck", "p_truncated"),
-        lambda point: vars(recycler.iterate_analytic(_product_ions(point))),
+        lambda point: recycler.iterate_analytic(_product_ions(point))._asdict(),
     ),
     "mixed": (("p_detect_lower", "p_detect_upper", "p_scattered", "p_entangled_iterated"), _mixed_point),
 }
@@ -308,7 +308,7 @@ def _run_sweep(cfg: RunConfig) -> dict:
     rows = []
     for index in range(cfg.points):
         value = cfg.sweep_to if index == cfg.points - 1 else cfg.sweep_from + span * index / (cfg.points - 1)
-        point = evaluate(replace(cfg, **{cfg.axis: value}))
+        point = evaluate(cfg._replace(**{cfg.axis: value}))
         rows.append({cfg.axis: value, **{column: point[column] for column in columns}})
     return {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
 
@@ -330,48 +330,49 @@ _SCENARIOS = {
 
 
 _UNIT = (0, 1, "[0, 1]")
+#: One config key: its type as annotated (``float | None`` admits null), default, flag, ``--help`` text,
+#: choices and range.  ``within`` is ``(low, high, interval)``, with the interval named as written, or
+#: limits ``(low, high)``, where ``low`` 0 means nonnegative, 1 positive, and ``high`` is a cap or None.
+_ConfigKey = namedtuple("_ConfigKey", "type default flag help choices within", defaults=(None,) * 5)
+#: Every config key once, in RunConfig's field order: ``build_parser`` reads its flag, ``RunConfig.from_dict``
+#: its type, ``_validate`` its choices and range.  ``scenario``, first, is the one key without a default.
+_CONFIG_KEYS = {
+    "scenario": _ConfigKey("str"),
+    "a2": _ConfigKey("float", 0.5, "--a2", "lower ion m+ population", within=_UNIT),
+    "alpha2": _ConfigKey("float | None", None, "--alpha2", "upper ion m+ population (defaults to --a2)", within=_UNIT),
+    "phase_alpha": _ConfigKey("float", 0.0, "--phase-alpha"),
+    "phase_beta": _ConfigKey("float", 0.0, "--phase-beta"),
+    "phase_a": _ConfigKey("float", 0.0, "--phase-a"),
+    "phase_b": _ConfigKey("float", 0.0, "--phase-b"),
+    "fidelity": _ConfigKey("float", 0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]")),
+    "trials": _ConfigKey("int", 100_000, "--trials", within=(1, 10_000_000)),
+    "seed": _ConfigKey("int", 0, "--seed"),
+    "max_passes": _ConfigKey("int", recycler.MAX_PASSES, "--max-passes", within=(1, 4096)),
+    "preset": _ConfigKey("str | None", None, "--preset", choices=_PRESETS),
+    "format": _ConfigKey("str", "json", "--format", choices=("json", "csv", "table")),
+    "axis": _ConfigKey("str | None", None, "--axis", choices=_SWEEP_AXES),
+    "sweep_from": _ConfigKey("float | None", None, "--from", within=_UNIT),
+    "sweep_to": _ConfigKey("float | None", None, "--to", within=_UNIT),
+    "points": _ConfigKey("int | None", None, "--points", within=(1, None)),
+    "sweep_scenario": _ConfigKey("str | None", None, "--scenario", choices=_SWEEPS),
+    "p_cav": _ConfigKey("float | None", within=_UNIT),
+    "detector_efficiency": _ConfigKey("float | None", within=_UNIT),
+    "outcoupling": _ConfigKey("float", 1.0, within=_UNIT),
+    "photon_rate": _ConfigKey("float | None", within=(0, None)),
+    "protocol": _ConfigKey("str | None", choices=_SOURCE_KEY),
+}
 
 
-def _key(default=None, flag=None, help=None, *, choices=None, within=None):
-    """A RunConfig field carrying its key's flag, ``--help`` text, choices and range: ``within``
-    is ``(low, high, interval)``, with the interval named as written, or limits ``(low, high)``,
-    where ``low`` 0 means nonnegative, 1 positive, and ``high`` is a cap or None."""
-    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices, "within": within})
+class RunConfig(namedtuple("RunConfig", _CONFIG_KEYS, defaults=[key.default for key in _CONFIG_KEYS.values()][1:])):
+    """Fully resolved run parameters, an immutable record; echoed verbatim into every report.
 
-
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters; echoed verbatim into every report.
-
-    Each field declares its key once: ``build_parser`` reads its flag, ``_validate`` its choices and range.
+    Its fields and their defaults are the keys of ``_CONFIG_KEYS``.
     """
 
-    scenario: str
-    a2: float = _key(0.5, "--a2", "lower ion m+ population", within=_UNIT)
-    alpha2: float | None = _key(None, "--alpha2", "upper ion m+ population (defaults to --a2)", within=_UNIT)
-    phase_alpha: float = _key(0.0, "--phase-alpha")
-    phase_beta: float = _key(0.0, "--phase-beta")
-    phase_a: float = _key(0.0, "--phase-a")
-    phase_b: float = _key(0.0, "--phase-b")
-    fidelity: float = _key(0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]"))
-    trials: int = _key(100_000, "--trials", within=(1, 10_000_000))
-    seed: int = _key(0, "--seed")
-    max_passes: int = _key(recycler.MAX_PASSES, "--max-passes", within=(1, 4096))
-    preset: str | None = _key(None, "--preset", choices=_PRESETS)
-    format: str = _key("json", "--format", choices=("json", "csv", "table"))
-    axis: str | None = _key(None, "--axis", choices=_SWEEP_AXES)
-    sweep_from: float | None = _key(None, "--from", within=_UNIT)
-    sweep_to: float | None = _key(None, "--to", within=_UNIT)
-    points: int | None = _key(None, "--points", within=(1, None))
-    sweep_scenario: str | None = _key(None, "--scenario", choices=_SWEEPS)
-    p_cav: float | None = _key(within=_UNIT)
-    detector_efficiency: float | None = _key(within=_UNIT)
-    outcoupling: float = _key(1.0, within=_UNIT)
-    photon_rate: float | None = _key(within=(0, None))
-    protocol: str | None = _key(choices=_SOURCE_KEY)
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
@@ -379,12 +380,11 @@ class RunConfig:
 
         Numbers must be finite; an integer given for a float key becomes a float.
         """
-        annotations = {f.name: f.type for f in fields(cls)}
         checked = {}
         for key, value in values.items():
-            if key not in annotations:
+            if key not in _CONFIG_KEYS:
                 raise UsageError(f"unknown config key: {key}")
-            checked[key] = _typed(key, value, annotations[key])
+            checked[key] = _typed(key, value, _CONFIG_KEYS[key].type)
         if "scenario" not in checked:
             raise UsageError("config needs a scenario")
         return cls(**checked)
@@ -420,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
     kinds = {"int": int, "float": float}
-    declared = {f.name: (f.metadata, kinds.get(f.type.partition(" | ")[0])) for f in fields(RunConfig)}
     for name, (_, help_line, keys) in _SCENARIOS.items():
         command = sub.add_parser(name.replace("_", "-"), help=help_line)
         for key in (*keys, "format"):
-            meta, kind = declared[key]
-            command.add_argument(meta["flag"], dest=key, type=kind, choices=meta["choices"], help=meta["help"])
+            spec = _CONFIG_KEYS[key]
+            kind = kinds.get(spec.type.partition(" | ")[0])
+            command.add_argument(spec.flag, dest=key, type=kind, choices=spec.choices, help=spec.help)
         command.add_argument("--config", help="JSON file with config keys; flags override")
     return parser
 
@@ -451,22 +451,21 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
         if cfg.preset not in _PRESETS:
             raise UsageError(f"unknown preset: {cfg.preset}")
         point = _PRESETS[cfg.preset][0]
-        echoed = replace(RunConfig(cfg.scenario), **point)
+        echoed = RunConfig(cfg.scenario, **point)
         fixed = [key for key in _PRESET_FIXES if key in given and getattr(cfg, key) != getattr(echoed, key)]
         if fixed:
             raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
-        cfg = replace(cfg, **point)
-    for f in fields(cfg):
-        value, choices, within = getattr(cfg, f.name), f.metadata.get("choices"), f.metadata.get("within")
+        cfg = cfg._replace(**point)
+    for (name, spec), value in zip(_CONFIG_KEYS.items(), cfg):
         if value is None:
             continue
-        label = (f.metadata.get("flag") or f.name).lstrip("-")
-        if choices is not None and value not in choices:
-            *others, last = choices
+        label = (spec.flag or name).lstrip("-")
+        if spec.choices is not None and value not in spec.choices:
+            *others, last = spec.choices
             raise UsageError(f"{label} must be {', '.join(others)} or {last}")
-        if within is None:
+        if spec.within is None:
             continue
-        low, high, *interval = within
+        low, high, *interval = spec.within
         if interval and not low <= value <= high:
             raise UsageError(f"{label} must lie in {interval[0]}")
         if value < low:
@@ -516,7 +515,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     merged.update(given)
     cfg = RunConfig.from_dict(merged)
     if cfg.scenario == "sweep" and "format" not in merged:
-        cfg.format = "csv"
+        cfg = cfg._replace(format="csv")
     return _validate(cfg, merged)
 
 
@@ -550,7 +549,7 @@ def _render_table(value, indent: str = "") -> list[str]:
             lines.append(f"{head} {_format_float(item) if isinstance(item, float) else item}")
             continue
         lines.append(head)
-        if not isinstance(item, (dict, list, tuple)):
+        if type(item) not in (dict, list, tuple):  # a record nests by field name, as in JSON
             item = _jsonable(item)
         lines.extend(_render_table(item, indent + "  "))
     return lines

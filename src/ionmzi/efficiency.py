@@ -13,7 +13,7 @@ and never reconciled or defaulted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 SPEED_OF_LIGHT = 299_792_458.0
 PLANCK = 6.626_070_15e-34
@@ -21,13 +21,10 @@ HBAR = PLANCK / (2.0 * math.pi)
 VACUUM_PERMITTIVITY = 8.854_187_8128e-12
 
 
-@dataclass(frozen=True)
-class ReferenceValue:
-    """A quoted operating-point constant, with its provenance label."""
+class ReferenceValue(namedtuple("ReferenceValue", "value unit label")):
+    """A quoted operating-point constant, with its unit and provenance label: an immutable record."""
 
-    value: float
-    unit: str
-    label: str
+    __slots__ = ()
 
 
 REFERENCE_POINT: dict[str, ReferenceValue] = {
@@ -125,14 +122,10 @@ def cavity_emission_probability(cavity_decay: float, coupling: float, loss_rate:
     return 4.0 * cavity_decay * coupling * coupling / denominator
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
-    """End-to-end success probability and entangled-pair rate."""
+class ThroughputReport(namedtuple("ThroughputReport", "p_protocol p_cav p_total pairs_per_second")):
+    """End-to-end success probability and entangled-pair rate: an immutable record."""
 
-    p_protocol: float
-    p_cav: float
-    p_total: float
-    pairs_per_second: float
+    __slots__ = ()
 
 
 def throughput(

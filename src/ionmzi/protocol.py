@@ -19,15 +19,18 @@ entry it walks the input kets through the element tables (splitter, both ions, s
 and writes each step, with the branch readout, as one straight-line Python function that
 repeats the element maps' arithmetic in their order.  That function is checked against the
 composed element maps before it is cached, and is pinned against independent references in
-the test suite.  Its post states skip the public constructor's conversion loop, but keep its
+the test suite.  Its post states skip the public constructor's conversions, but keep its
 norm check.
+
+States and results are immutable records: ``namedtuple`` subclasses, so each also equals,
+iterates and indexes as the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .elements import _ABSORPTION, _SPLITTER, _SQRT_HALF, beam_splitter, ion_interaction
 from .states import (
@@ -58,8 +61,7 @@ ENTRY_UPPER_BACKWARD = (Port.UPPER, Direction.BACKWARD)
 Entry = tuple[Port, Direction]
 
 
-@dataclass(frozen=True)
-class IonPairState:
+class IonPairState(namedtuple("IonPairState", "c_pp c_pm c_mp c_mm")):
     """Two-ion amplitudes over the metastable levels, ordered (upper, lower).
 
     ``c_pm`` is the amplitude of |m+>_U |m->_L and so on.  The four
@@ -67,16 +69,15 @@ class IonPairState:
     rescale raw amplitudes first.
     """
 
-    c_pp: complex = 0j
-    c_pm: complex = 0j
-    c_mp: complex = 0j
-    c_mm: complex = 0j
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("c_pp", "c_pm", "c_mp", "c_mm"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if not abs(self.norm_squared() - 1.0) <= NORM_TOL:
+    def __new__(cls, c_pp: complex = 0j, c_pm: complex = 0j, c_mp: complex = 0j, c_mm: complex = 0j) -> "IonPairState":
+        state = super().__new__(cls, complex(c_pp), complex(c_pm), complex(c_mp), complex(c_mm))
+        if not abs(state.norm_squared() - 1.0) <= NORM_TOL:
             raise ValueError("ion-pair amplitudes must be normalized")
+        return state
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
     @classmethod
     def from_unnormalized(
@@ -121,12 +122,10 @@ class IonPairState:
         return abs2(overlap)
 
 
-@dataclass(frozen=True)
-class SingleIonState:
+class SingleIonState(namedtuple("SingleIonState", "c_plus c_minus")):
     """One ion's amplitudes over (m+, m-)."""
 
-    c_plus: complex
-    c_minus: complex
+    __slots__ = ()
 
 
 def bell_psi_plus() -> IonPairState:
@@ -174,11 +173,14 @@ def _entry_photon(photon_pol: Polarization, entry: Entry) -> PhotonMode:
     return PhotonMode.propagating(*entry, photon_pol)
 
 
-@dataclass(frozen=True)
-class PassResult:
+class PassResult(namedtuple("PassResult", (
+    "p_scatter_u p_scatter_l p_detect_upper p_detect_lower p_recycle "
+    "post_detect_upper post_detect_lower post_recycle post_scatter_u post_scatter_l"
+))):
     """Branch decomposition of one traversal.
 
-    The five probabilities sum to one.  Port-conditioned ion states carry
+    The five probabilities sum to one.  Port-conditioned ion states
+    (IonPairState for a port, SingleIonState for a scatter site) carry
     the phase the evolution produced and are populated whenever the port
     has support; zero-probability branches hold None.  With a mirror on
     the exit port (``enclosed``), the mirror-port mass is booked under
@@ -186,16 +188,7 @@ class PassResult:
     mirrors the state at that port.
     """
 
-    p_scatter_u: float
-    p_scatter_l: float
-    p_detect_upper: float
-    p_detect_lower: float
-    p_recycle: float
-    post_detect_upper: IonPairState | None
-    post_detect_lower: IonPairState | None
-    post_recycle: IonPairState | None
-    post_scatter_u: SingleIonState | None
-    post_scatter_l: SingleIonState | None
+    __slots__ = ()
 
 
 def _place(ket: BasisState) -> tuple[int, int]:
@@ -232,8 +225,9 @@ def _kernel(photon_pol: Polarization, entry: Entry):
     Called with ``final=True`` the function returns the last stage's amplitudes instead.  Those are
     checked here against :func:`propagate` for each unit input, so the code that runs was checked.
     """
-    namespace = {
-        "PRUNE_EPS": PRUNE_EPS, "PassResult": PassResult, "SingleIonState": SingleIonState, "_post_state": _post_state
+    namespace = {  # ``_new`` builds a record from its fields' tuple, skipping the record's Python-level ``__new__``
+        "PRUNE_EPS": PRUNE_EPS, "PassResult": PassResult, "SingleIonState": SingleIonState, "_post_state": _post_state,
+        "_new": tuple.__new__,
     }
     factor_names: dict[int, str] = {}  # by the factor object's id
 
@@ -266,8 +260,9 @@ def _kernel(photon_pol: Polarization, entry: Entry):
             amps[ket] = name
     readout, amps = [_place(KETS[ket]) for ket in amps], list(amps.values())
     lines += ["    if final:", f"        return [{', '.join(amps)}]"]
-    for branch, make, levels in ((0, "SingleIonState", _ION_LEVELS), (1, "SingleIonState", _ION_LEVELS),
-                                 (2, "_post_state", _PAIR_LEVELS), (3, "_post_state", _PAIR_LEVELS)):
+    single, pair = "_new(SingleIonState, ({}))", "_post_state({})"
+    for branch, make, levels in ((0, single, _ION_LEVELS), (1, single, _ION_LEVELS),
+                                 (2, pair, _PAIR_LEVELS), (3, pair, _PAIR_LEVELS)):
         read = [(slot, amp) for (at, slot), amp in zip(readout, amps) if at == branch]
         mass = " + ".join(f"({amp}.real * {amp}.real + {amp}.imag * {amp}.imag)" for _, amp in read)
         sums = [" + ".join(amp for slot, amp in read if slot == target) for target in range(len(levels))]
@@ -278,15 +273,15 @@ def _kernel(photon_pol: Polarization, entry: Entry):
             f"        m{branch}, s{branch} = 0.0, None",
             "    else:",
             f"        inv = m{branch} ** -0.5",
-            f"        s{branch} = {make}({post})",
+            f"        s{branch} = {make.format(post)}",
         ]
     forward = entry[1] is Direction.FORWARD  # the mirror port is the upper one
     enclosed_masses = "0.0, m3, m2" if forward else "m2, 0.0, m3"  # the mirror port's mass recycles
     states = f"s2, s3, {'s2' if forward else 's3'}, s0, s1"
     lines += [
         "    if enclosed:",
-        f"        return PassResult(m0, m1, {enclosed_masses}, {states})",
-        f"    return PassResult(m0, m1, m2, m3, 0.0, {states})",
+        f"        return _new(PassResult, (m0, m1, {enclosed_masses}, {states}))",
+        f"    return _new(PassResult, (m0, m1, m2, m3, 0.0, {states}))",
     ]
     filename = f"<single_pass {photon_pol.value} {entry[0].value} {entry[1].value}>"
     exec(compile("\n".join(lines), filename, "exec"), namespace)
@@ -302,12 +297,7 @@ def _kernel(photon_pol: Polarization, entry: Entry):
 
 def _post_state(c_pp: complex, c_pm: complex, c_mp: complex, c_mm: complex) -> IonPairState:
     """An IonPairState from amplitudes that are already complex: the public constructor's norm check,
-    without its conversion loop."""
-    state = object.__new__(IonPairState)
-    object.__setattr__(state, "c_pp", c_pp)
-    object.__setattr__(state, "c_pm", c_pm)
-    object.__setattr__(state, "c_mp", c_mp)
-    object.__setattr__(state, "c_mm", c_mm)
+    without its conversions."""
     norm_squared = (  # IonPairState.norm_squared, with each abs2 written out
         (c_pp.real * c_pp.real + c_pp.imag * c_pp.imag)
         + (c_pm.real * c_pm.real + c_pm.imag * c_pm.imag)
@@ -316,7 +306,7 @@ def _post_state(c_pp: complex, c_pm: complex, c_mp: complex, c_mm: complex) -> I
     )
     if not abs(norm_squared - 1.0) <= NORM_TOL:
         raise ValueError("ion-pair amplitudes must be normalized")
-    return state
+    return tuple.__new__(IonPairState, (c_pp, c_pm, c_mp, c_mm))
 
 
 def single_pass(
@@ -338,24 +328,20 @@ def single_pass(
 Ensemble = tuple[tuple[float, IonPairState], ...]
 
 
-@dataclass(frozen=True)
-class MixedPassResult:
+class MixedPassResult(namedtuple("MixedPassResult", (
+    "input_fidelity components p_scatter_u p_scatter_l p_detect_upper p_detect_lower p_recycle "
+    "post_detect_upper post_detect_lower"
+))):
     """Per-component traversals and pooled branch statistics for a mixed input.
 
     The input ensemble is |Psi+> with weight ``input_fidelity`` and
-    |Phi+> with the complement.  Each detector-conditioned output pools
-    the components that reach that detector, and is None if none does.
+    |Phi+> with the complement; ``components`` holds one (weight,
+    IonPairState, PassResult) per component.  Each detector-conditioned
+    output pools the components that reach that detector, as an
+    ``Ensemble``, and is None if none does.
     """
 
-    input_fidelity: float
-    components: tuple[tuple[float, IonPairState, PassResult], ...]
-    p_scatter_u: float
-    p_scatter_l: float
-    p_detect_upper: float
-    p_detect_lower: float
-    p_recycle: float
-    post_detect_upper: Ensemble | None
-    post_detect_lower: Ensemble | None
+    __slots__ = ()
 
 
 def _mixed_components(fidelity: float) -> Ensemble:

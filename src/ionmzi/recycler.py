@@ -27,8 +27,8 @@ round table is read as lazily as before.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import compress
 
 from .protocol import IonPairState, single_pass
@@ -41,21 +41,17 @@ MAX_PASSES = 30
 TRUNCATION_EPSILON = 1e-12
 
 
-@dataclass(frozen=True)
-class IterationResult:
-    """Outcome masses of the recycling loop.
+class IterationResult(namedtuple(
+    "IterationResult", "p_entangled p_scattered p_stuck p_truncated post_entangled passes_distribution"
+)):
+    """Outcome masses of the recycling loop, an immutable record.
 
-    The four probabilities sum to one; ``passes_distribution`` maps the
-    round index to the absolute detection probability in that round, in
-    round order.
+    The four probabilities sum to one; ``post_entangled`` is the heralded
+    IonPairState or None; ``passes_distribution`` maps the round index to
+    the absolute detection probability in that round, in round order.
     """
 
-    p_entangled: float
-    p_scattered: float
-    p_stuck: float
-    p_truncated: float
-    post_entangled: IonPairState | None
-    passes_distribution: dict[int, float]
+    __slots__ = ()
 
 
 def iterate_analytic(ions: IonPairState) -> IterationResult:
@@ -205,23 +201,18 @@ def _repack(streams: int, active: int, lanes: int) -> int:
     return int.from_bytes(b"".join([packed[i : i + 16] for i in compress(range(0, 16 * lanes, 16), keep)]), "little")
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    """Empirical outcome frequencies with binomial standard errors.
+class MonteCarloResult(namedtuple(
+    "MonteCarloResult", "trials seed counts frequencies standard_errors passes_distribution post_entangled"
+)):
+    """Empirical outcome frequencies with binomial standard errors, an immutable record.
 
     ``counts`` and ``frequencies`` are keyed by outcome name
     ("entangled", "scattered", "stuck", "truncated");
     ``passes_distribution`` holds the detection frequency by round index,
-    in round order.
+    in round order; ``post_entangled`` is the heralded IonPairState or None.
     """
 
-    trials: int
-    seed: int
-    counts: dict[str, int]
-    frequencies: dict[str, float]
-    standard_errors: dict[str, float]
-    passes_distribution: dict[int, float]
-    post_entangled: IonPairState | None
+    __slots__ = ()
 
     @property
     def p_entangled(self) -> float:

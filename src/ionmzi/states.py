@@ -13,7 +13,9 @@ pairs, 99 kets in all.  A ket's integer index is its place in ``KETS``, and
 a state stores its amplitudes keyed by that index; ``BasisState`` and
 ``PhotonMode`` remain the public view of a ket.  ``KETS`` is the only
 statement of the layout: other modules read a ket through it and find one
-through ``basis_index``, a lookup built from it.
+through ``basis_index``, a lookup built from it.  Both are immutable
+records: ``namedtuple`` subclasses without an instance ``__dict__``, and the
+enums that label them hash by identity, so a ket hashes in C.
 
 Global phase is never divided out automatically: ``normalize`` rescales by
 a positive real factor only, and ray equality is a separate comparison
@@ -23,9 +25,9 @@ a positive real factor only, and ray equality is a separate comparison
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import ItemsView, Iterable, Iterator, Mapping
 from enum import Enum
-from typing import ItemsView, Iterable, Iterator, Mapping
 
 #: Amplitudes below this modulus are dropped when a state is built.
 PRUNE_EPS = 1e-12
@@ -38,14 +40,20 @@ def abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
-class Polarization(Enum):
+class _Label(Enum):
+    """An enum hashed by identity: its members are singletons that compare by identity."""
+
+    __hash__ = object.__hash__
+
+
+class Polarization(_Label):
     """Circular photon polarization; each couples exactly one qubit level."""
 
     SIGMA_PLUS = "sigma_plus"
     SIGMA_MINUS = "sigma_minus"
 
 
-class IonLevel(Enum):
+class IonLevel(_Label):
     """Storable ion levels: the two metastable qubit levels and the ground level."""
 
     M_PLUS = "m_plus"
@@ -53,29 +61,28 @@ class IonLevel(Enum):
     G = "g"
 
 
-class Port(Enum):
+class Port(_Label):
     UPPER = "upper"
     LOWER = "lower"
 
 
-class Direction(Enum):
+class Direction(_Label):
     FORWARD = "forward"
     BACKWARD = "backward"
 
 
-class IonId(Enum):
+class IonId(_Label):
     ION_U = "ion_u"
     ION_L = "ion_l"
 
 
-class ModeKind(Enum):
+class ModeKind(_Label):
     PROPAGATING = "propagating"
     SCATTERED = "scattered"
     VACUUM = "vacuum"
 
 
-@dataclass(frozen=True)
-class PhotonMode:
+class PhotonMode(namedtuple("PhotonMode", "kind port direction polarization scattered_at")):
     """Where the single photonic excitation lives.
 
     Build instances through :meth:`propagating`, :meth:`scattered` or
@@ -84,25 +91,25 @@ class PhotonMode:
     carries only its scatter site).
     """
 
-    kind: ModeKind
-    port: Port | None = None
-    direction: Direction | None = None
-    polarization: Polarization | None = None
-    scattered_at: IonId | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        labels = (self.port, self.direction, self.polarization)
-        if self.kind is ModeKind.PROPAGATING:
-            valid = None not in labels and self.scattered_at is None
-        elif self.kind is ModeKind.SCATTERED:
-            valid = labels == (None, None, None) and self.scattered_at is not None
+    def __new__(cls, kind: ModeKind, port: Port | None = None, direction: Direction | None = None,
+                polarization: Polarization | None = None, scattered_at: IonId | None = None) -> "PhotonMode":
+        labels = (port, direction, polarization)
+        if kind is ModeKind.PROPAGATING:
+            valid = None not in labels and scattered_at is None
+        elif kind is ModeKind.SCATTERED:
+            valid = labels == (None, None, None) and scattered_at is not None
         else:
-            valid = labels == (None, None, None) and self.scattered_at is None
+            valid = labels == (None, None, None) and scattered_at is None
         if not valid:
             raise ValueError(
-                f"invalid {self.kind.value} mode: propagating needs port, direction and polarization, "
+                f"invalid {kind.value} mode: propagating needs port, direction and polarization, "
                 "scattered only a scatter site, vacuum nothing"
             )
+        return super().__new__(cls, kind, port, direction, polarization, scattered_at)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
     @staticmethod
     def propagating(port: Port, direction: Direction, polarization: Polarization) -> "PhotonMode":
@@ -117,13 +124,10 @@ class PhotonMode:
         return PhotonMode(ModeKind.VACUUM)
 
 
-@dataclass(frozen=True)
-class BasisState:
+class BasisState(namedtuple("BasisState", "photon ion_u ion_l")):
     """One joint basis ket: photon mode and the two ion levels (upper, lower)."""
 
-    photon: PhotonMode
-    ion_u: IonLevel
-    ion_l: IonLevel
+    __slots__ = ()
 
 
 #: Every photon mode in canonical order: propagating (port x direction x

@@ -5,7 +5,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import MISSING, fields
 from importlib import resources
 
 import jsonschema
@@ -434,14 +433,14 @@ class TestSchema:
         config = report_schema["properties"]["config"]
         json_types = {"str": "string", "int": "integer", "float": "number"}
         expected = {}
-        for field in fields(RunConfig):
-            kind, _, optional = field.type.partition(" | ")
-            expected[field.name] = {"type": [json_types[kind], "null"] if optional else json_types[kind]}
-            if field.name == "format":
-                expected[field.name] = {"enum": list(field.metadata["choices"])}
+        for name, key in cli._CONFIG_KEYS.items():
+            kind, _, optional = key.type.partition(" | ")
+            expected[name] = {"type": [json_types[kind], "null"] if optional else json_types[kind]}
+            if name == "format":
+                expected[name] = {"enum": list(key.choices)}
         assert list(config["properties"]) == list(expected)
         assert config["properties"] == expected
-        assert config["required"] == [field.name for field in fields(RunConfig) if field.default is MISSING]
+        assert config["required"] == [name for name in RunConfig._fields if name not in RunConfig._field_defaults]
 
     def test_config_echo_reparses_equal(self, capsys):
         code, out, _ = run_cli(capsys, "monte-carlo", "--a2", "0.7", "--trials", "100", "--seed", "3")
@@ -489,6 +488,26 @@ def test_runtime_imports_only_the_standard_library():
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout == "[0, 0, 0, 0, 0, 0] []\n"
+
+
+#: Modules a cold start must not load: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+#: ``typing`` costs about 4 ms.  ``linecache`` is not listed, as Python 3.13 loads it at startup.
+_HEAVY_MODULES = {"dataclasses", "inspect", "typing"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["-c", "import ionmzi.cli"], ["-m", "ionmzi", "single-pass", "--a2", "0.5"]], ids=["import", "report"]
+)
+def test_cold_start_loads_no_heavy_module(argv):
+    # -S skips site, whose .pth files may import typing first; -X importtime names every module the process imports
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv], env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    lines = probe.stderr.splitlines()
+    imported = {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+    assert {"ionmzi.cli", "ionmzi.protocol"} <= imported
+    assert not imported & _HEAVY_MODULES
 
 
 def _cli_process(argv: list[str], unbuffered: bool, stdout) -> subprocess.Popen:

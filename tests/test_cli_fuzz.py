@@ -16,13 +16,12 @@ valid, merely long, run.
 
 import json
 import random
-from dataclasses import fields
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from ionmzi.cli import RunConfig, main
+from ionmzi.cli import _CONFIG_KEYS, main
 
 SEED = 20240611
 CASES = 400
@@ -31,7 +30,7 @@ SUBCOMMANDS = ("single-pass", "iterate", "mixed", "monte-carlo", "throughput", "
 _BOUNDED = {"trials": 50, "points": 20, "max_passes": 40}
 _BAD = ("0.5", "", True, False, None, [0.5], {"a2": 0.5}, float("nan"), 10**400, -1, -0.5, 0, 1.5, 2, 1e300)
 _BAD_BOUNDED = ("5", True, None, [3], 1.5, float("nan"), -1, 0, 1, 2)
-_KEYS = tuple(field.name for field in fields(RunConfig))
+_KEYS = tuple(_CONFIG_KEYS)
 
 
 def _population(rng: random.Random) -> float:
