@@ -61,6 +61,8 @@ _PRESETS = {
     )),
 }
 _AMPLITUDES = ("a2", "alpha2", "phase_alpha", "phase_beta", "phase_a", "phase_b")
+#: The iterated outcomes that the mixed and Monte Carlo reports give for the closed form.
+_OUTCOMES = ("p_entangled", "p_scattered", "p_stuck")
 
 
 class UsageError(Exception):
@@ -124,8 +126,7 @@ def _resolved_amplitudes(cfg: RunConfig) -> tuple[complex, complex, complex, com
 
 
 def _product_ions(cfg: RunConfig) -> IonPairState:
-    u_plus, u_minus, l_plus, l_minus = _resolved_amplitudes(cfg)
-    return IonPairState.product(u_plus, u_minus, l_plus, l_minus)
+    return IonPairState.product(*_resolved_amplitudes(cfg))
 
 
 def _run_single_pass(cfg: RunConfig) -> dict:
@@ -134,13 +135,7 @@ def _run_single_pass(cfg: RunConfig) -> dict:
     post = result.post_detect_lower
     return {
         "inputs": {"u_plus": u_plus, "u_minus": u_minus, "l_plus": l_plus, "l_minus": l_minus},
-        "probabilities": {
-            "scatter_u": result.p_scatter_u,
-            "scatter_l": result.p_scatter_l,
-            "detect_upper": result.p_detect_upper,
-            "detect_lower": result.p_detect_lower,
-            "recycle": result.p_recycle,
-        },
+        "probabilities": {name[2:]: value for name, value in result._asdict().items() if name.startswith("p_")},
         # equal moduli on the two ions: the post-selected state is maximally entangled
         "balanced": abs(abs(u_plus) - abs(l_plus)) <= NORM_TOL and abs(abs(u_minus) - abs(l_minus)) <= NORM_TOL,
         "post_detect_upper": result.post_detect_upper,
@@ -162,44 +157,43 @@ def _run_iterate(cfg: RunConfig) -> dict:
     }
 
 
-def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> float | None:
-    """Fidelity of a detector-conditioned ensemble with a Bell state; None if never heralded.
-
-    A plain loop in component order: builtin ``sum`` compensates rounding from Python 3.12 on.
-    """
-    if ensemble is None:
-        return None
+def _pooled(components: tuple, value) -> float:
+    """``value(item)`` pooled over (weight, item, ...) components in a plain loop in component order:
+    builtin ``sum`` compensates rounding from Python 3.12 on."""
     total = 0.0
-    for weight, state in ensemble:
-        total += weight * state.fidelity(bell)
+    for weight, item, *_ in components:
+        total += weight * value(item)
     return total
 
 
-def _pooled(components: tuple, iterate, *names: str) -> dict[str, float]:
-    """The named figures of ``iterate(ions)``, each pooled over (weight, ions, ...) components in a plain
-    loop in component order, as :func:`_fidelity_vs` pools."""
-    pooled = dict.fromkeys(names, 0.0)
-    for weight, ions, *_ in components:
-        result = iterate(ions)
-        for name in names:
-            pooled[name] += weight * getattr(result, name)
-    return pooled
+def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> float | None:
+    """Fidelity of a detector-conditioned ensemble with a Bell state; None if never heralded."""
+    return None if ensemble is None else _pooled(ensemble, lambda state: state.fidelity(bell))
+
+
+def _mixed_pass(run: protocol.MixedPassResult) -> dict[str, float]:
+    """The mixed input's single-pass branch weights, as the mixed report and the mixed sweep give them."""
+    return {"p_detect_lower": run.p_detect_lower, "p_detect_upper": run.p_detect_upper,
+            "p_scattered": run.p_scatter_u + run.p_scatter_l}
+
+
+def _mixed_iterated(components: tuple) -> dict[str, float]:
+    """The mixed input's iterated outcomes in closed form, each pooled over its (weight, ions, ...) components."""
+    analytic = tuple((weight, recycler.iterate_analytic(ions)) for weight, ions, *_ in components)
+    return {name: _pooled(analytic, lambda result: getattr(result, name)) for name in _OUTCOMES}
 
 
 def _run_mixed(cfg: RunConfig) -> dict:
     run = protocol.run_mixed(cfg.fidelity)
-    iterated = _pooled(run.components, recycler.iterate_analytic, "p_entangled", "p_scattered", "p_stuck")
-    numeric = _pooled(run.components, lambda ions: recycler.iterate_numeric(ions, cfg.max_passes), "p_entangled")
+    numeric = _pooled(run.components, lambda ions: recycler.iterate_numeric(ions, cfg.max_passes).p_entangled)
     return {
         "fidelity": cfg.fidelity,
         "single_pass": {
-            "p_detect_lower": run.p_detect_lower,
-            "p_detect_upper": run.p_detect_upper,
-            "p_scattered": run.p_scatter_u + run.p_scatter_l,
+            **_mixed_pass(run),
             "fidelity_lower_vs_psi_minus": _fidelity_vs(run.post_detect_lower, bell_psi_minus()),
             "fidelity_upper_vs_psi_plus": _fidelity_vs(run.post_detect_upper, bell_psi_plus()),
         },
-        "iterated": {**iterated, "p_entangled_numeric": numeric["p_entangled"]},
+        "iterated": {**_mixed_iterated(run.components), "p_entangled_numeric": numeric},
     }
 
 
@@ -214,11 +208,7 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
         "standard_errors": dict(sampled.standard_errors),
         "passes_distribution": list(sampled.passes_distribution.items()),
         "post_entangled": sampled.post_entangled,
-        "analytic": {
-            "p_entangled": analytic.p_entangled,
-            "p_scattered": analytic.p_scattered,
-            "p_stuck": analytic.p_stuck,
-        },
+        "analytic": {name: getattr(analytic, name) for name in _OUTCOMES},
     }
 
 
@@ -226,7 +216,7 @@ def _p_protocol(kind: str, value: float) -> float:
     """Iterated success of the mixed input with fidelity ``value``, pooled over its components, or of the
     matched product input with m+ population ``value``."""
     if kind == "mixed":
-        return _pooled(protocol._mixed_components(value), recycler.iterate_analytic, "p_entangled")["p_entangled"]
+        return _mixed_iterated(protocol._mixed_components(value))["p_entangled"]
     amp_plus = math.sqrt(value)
     amp_minus = math.sqrt(1.0 - value)
     ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)
@@ -267,24 +257,16 @@ def _run_throughput(cfg: RunConfig) -> dict:
     return {
         "preset": cfg.preset,
         "source": {"protocol": cfg.protocol, source_key: value},
-        "p_protocol": report.p_protocol,
-        "p_cav": report.p_cav,
+        **report._asdict(),
         "detector_efficiency": cfg.detector_efficiency,
         "outcoupling": cfg.outcoupling,
         "photon_rate": cfg.photon_rate,
-        "p_total": report.p_total,
-        "pairs_per_second": report.pairs_per_second,
     }
 
 
 def _mixed_point(point: RunConfig) -> dict:
     run = protocol.run_mixed(point.fidelity)
-    return {
-        "p_detect_lower": run.p_detect_lower,
-        "p_detect_upper": run.p_detect_upper,
-        "p_scattered": run.p_scatter_u + run.p_scatter_l,
-        "p_entangled_iterated": _pooled(run.components, recycler.iterate_analytic, "p_entangled")["p_entangled"],
-    }
+    return {**_mixed_pass(run), "p_entangled_iterated": _mixed_iterated(run.components)["p_entangled"]}
 
 
 #: Sweep scenario -> (its report columns after the axis, the values at one
@@ -370,9 +352,6 @@ class RunConfig(namedtuple("RunConfig", _CONFIG_KEYS, defaults=[key.default for 
     """
 
     __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
@@ -525,7 +504,7 @@ def build_report(cfg: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "scenario": cfg.scenario,
-        "config": cfg.to_dict(),
+        "config": cfg._asdict(),
         "results": _SCENARIOS[cfg.scenario][0](cfg),
         "notes": list(_PRESETS[cfg.preset][1]) if cfg.preset is not None else [],
     }

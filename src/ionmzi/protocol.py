@@ -45,6 +45,7 @@ from .states import (
     Polarization,
     Port,
     PureState,
+    _amplitude,
     abs2,
     basis_index,
 )
@@ -72,7 +73,7 @@ class IonPairState(namedtuple("IonPairState", "c_pp c_pm c_mp c_mm")):
     __slots__ = ()
 
     def __new__(cls, c_pp: complex = 0j, c_pm: complex = 0j, c_mp: complex = 0j, c_mm: complex = 0j) -> "IonPairState":
-        state = super().__new__(cls, complex(c_pp), complex(c_pm), complex(c_mp), complex(c_mm))
+        state = super().__new__(cls, _amplitude(c_pp), _amplitude(c_pm), _amplitude(c_mp), _amplitude(c_mm))
         if not abs(state.norm_squared() - 1.0) <= NORM_TOL:
             raise ValueError("ion-pair amplitudes must be normalized")
         return state
@@ -83,7 +84,7 @@ class IonPairState(namedtuple("IonPairState", "c_pp c_pm c_mp c_mm")):
     def from_unnormalized(
         cls, c_pp: complex = 0j, c_pm: complex = 0j, c_mp: complex = 0j, c_mm: complex = 0j
     ) -> "IonPairState":
-        norm_sq = abs2(complex(c_pp)) + abs2(complex(c_pm)) + abs2(complex(c_mp)) + abs2(complex(c_mm))
+        norm_sq = abs2(_amplitude(c_pp)) + abs2(_amplitude(c_pm)) + abs2(_amplitude(c_mp)) + abs2(_amplitude(c_mm))
         if not 2.0 ** -1022 <= norm_sq < math.inf:  # zero, below the normal range, overflowed or NaN
             # Shift every part exactly by 2**(100 j), the j that brings the largest part within a factor 2**51 of
             # one, so such an input gives the bits of the ordinary input it is 2**(100 j) times; in range nothing moves.

@@ -40,6 +40,13 @@ def abs2(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
+def _amplitude(value) -> complex:
+    """``complex(value)``, refusing a string, which ``complex`` would parse."""
+    if isinstance(value, str):
+        raise TypeError("amplitude must be a number, not a string")
+    return complex(value)
+
+
 class _Label(Enum):
     """An enum hashed by identity: its members are singletons that compare by identity."""
 
@@ -172,7 +179,7 @@ class PureState:
             indexed = ((basis_index(basis), amp) for basis, amp in items)
         merged: dict[int, complex] = {}
         for index, amp in indexed:
-            merged[index] = merged.get(index, 0j) + complex(amp)
+            merged[index] = merged.get(index, 0j) + _amplitude(amp)
         self._amps = {index: merged[index] for index in sorted(merged) if abs(merged[index]) >= PRUNE_EPS}
         if len(self._amps) < len(merged) and any(amp != amp for amp in merged.values()):
             raise ValueError("amplitude is not a number")

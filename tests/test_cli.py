@@ -98,7 +98,7 @@ class TestParseConfig:
 
     def test_round_trip_through_dict(self):
         cfg = parse_config(["monte-carlo", "--a2", "0.7", "--trials", "123", "--seed", "9"])
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig.from_dict(cfg._asdict()) == cfg
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(UsageError, match="warp"):
@@ -408,6 +408,19 @@ class TestThroughputReports:
         iterated = mixed["results"]["iterated"]["p_entangled"]
         assert [row["p_entangled_iterated"] for row in sweep["results"]["rows"]] == [iterated, iterated]
         assert throughput["results"]["p_protocol"] == iterated
+
+        def bits(block, names):
+            return [block[name].hex() for name in names]
+
+        columns = ("p_detect_lower", "p_detect_upper", "p_scattered")
+        single = bits(mixed["results"]["single_pass"], columns)
+        assert [bits(row, columns) for row in sweep["results"]["rows"]] == [single, single]
+        # so do the Monte Carlo and iterate reports' closed forms, with the fidelity read as a population
+        sampled = cli.build_report(parse_config(["monte-carlo", "--a2", repr(fidelity), "--trials", "1"]))
+        exact = cli.build_report(parse_config(["iterate", "--a2", repr(fidelity)]))["results"]["analytic"]
+        outcomes = ("p_entangled", "p_scattered", "p_stuck")
+        assert sorted(sampled["results"]["analytic"]) == sorted(outcomes)
+        assert bits(sampled["results"]["analytic"], outcomes) == bits(exact, outcomes)
 
 
 class TestSchema:

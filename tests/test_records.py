@@ -170,15 +170,31 @@ def test_records_are_all_pinned():
     assert set(RECORDS) == set(CLASSES)
 
 
+_UNNORMALIZED = (ValueError, "ion-pair amplitudes must be normalized")
+#: ``complex()`` would parse a string, so a typo would pass as an amplitude.
+_STRING = (TypeError, "amplitude must be a number, not a string")
+
+
 @pytest.mark.parametrize(
-    "amplitudes",
-    [(), (2,), (1, 1), (math.nan,), (1, 0, 0, math.inf), (0.6, 0.6j, 0.6, 0.0)],
-    ids=["zero", "long", "two-units", "nan", "inf", "over"],
+    "build, amplitudes, expected",
+    [
+        (IonPairState, (), _UNNORMALIZED),
+        (IonPairState, (2,), _UNNORMALIZED),
+        (IonPairState, (1, 1), _UNNORMALIZED),
+        (IonPairState, (math.nan,), _UNNORMALIZED),
+        (IonPairState, (1, 0, 0, math.inf), _UNNORMALIZED),
+        (IonPairState, (0.6, 0.6j, 0.6, 0.0), _UNNORMALIZED),
+        (IonPairState, ("1",), _STRING),
+        (IonPairState.from_unnormalized, ("2",), _STRING),
+        (IonPairState.product, ("1", 0, 1, 0), _STRING),
+    ],
+    ids=["zero", "long", "two-units", "nan", "inf", "over", "string", "string-unnormalized", "string-product"],
 )
-def test_ion_pair_state_rejects_unnormalized(amplitudes):
-    with pytest.raises(ValueError) as caught:
-        IonPairState(*amplitudes)
-    assert str(caught.value) == "ion-pair amplitudes must be normalized"
+def test_ion_pair_state_rejects_unnormalized(build, amplitudes, expected):
+    error, message = expected
+    with pytest.raises(error) as caught:
+        build(*amplitudes)
+    assert str(caught.value) == message
 
 
 _MODE_MESSAGE = (

@@ -129,6 +129,12 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="not a number"):
             PureState(indexed=[(0, nan), (1, 1.0)])
 
+    def test_string_amplitude_rejected(self):
+        # complex() would parse it as the number 1
+        for build in (lambda: PureState(indexed=[(0, "1")]), lambda: PureState({KET_PM: "1"})):
+            with pytest.raises(TypeError, match="amplitude must be a number, not a string"):
+                build()
+
 
 class TestInnerProduct:
     def test_self_overlap_of_unit_vector(self):
