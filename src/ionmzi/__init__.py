@@ -9,6 +9,8 @@ mirrors recycles the unscattered photon and raises the success
 probability from one quarter to one third of the off-diagonal weight.
 """
 
+from types import ModuleType as _ModuleType
+
 from .states import (
     BasisState,
     Direction,
@@ -57,46 +59,5 @@ from .efficiency import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisState",
-    "Direction",
-    "ENTRY_LOWER_FORWARD",
-    "ENTRY_UPPER_BACKWARD",
-    "IonId",
-    "IonLevel",
-    "IonPairState",
-    "IterationResult",
-    "MirrorId",
-    "MixedPassResult",
-    "ModeKind",
-    "MonteCarloResult",
-    "PassResult",
-    "PhotonMode",
-    "Polarization",
-    "Port",
-    "PureState",
-    "SingleIonState",
-    "ThroughputReport",
-    "beam_splitter",
-    "bell_phi_plus",
-    "bell_psi_minus",
-    "bell_psi_plus",
-    "cavity_decay_rate",
-    "cavity_emission_probability",
-    "cavity_mode_volume",
-    "coupling_constant",
-    "detect",
-    "equal_up_to_global_phase",
-    "evolve_single_pass",
-    "inner_product",
-    "ion_interaction",
-    "ion_pair_pure_state",
-    "iterate_analytic",
-    "iterate_numeric",
-    "mirror",
-    "monte_carlo",
-    "normalize",
-    "run_mixed",
-    "single_pass",
-    "throughput",
-]
+#: The public names: every name the imports above bind, except modules and names with a leading underscore.
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

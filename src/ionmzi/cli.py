@@ -157,18 +157,9 @@ def _run_iterate(cfg: RunConfig) -> dict:
     }
 
 
-def _pooled(components: tuple, value) -> float:
-    """``value(item)`` pooled over (weight, item, ...) components in a plain loop in component order:
-    builtin ``sum`` compensates rounding from Python 3.12 on."""
-    total = 0.0
-    for weight, item, *_ in components:
-        total += weight * value(item)
-    return total
-
-
 def _fidelity_vs(ensemble: protocol.Ensemble | None, bell: IonPairState) -> float | None:
     """Fidelity of a detector-conditioned ensemble with a Bell state; None if never heralded."""
-    return None if ensemble is None else _pooled(ensemble, lambda state: state.fidelity(bell))
+    return None if ensemble is None else protocol._pooled(ensemble, lambda state: state.fidelity(bell))
 
 
 def _mixed_pass(run: protocol.MixedPassResult) -> dict[str, float]:
@@ -180,12 +171,12 @@ def _mixed_pass(run: protocol.MixedPassResult) -> dict[str, float]:
 def _mixed_iterated(components: tuple) -> dict[str, float]:
     """The mixed input's iterated outcomes in closed form, each pooled over its (weight, ions, ...) components."""
     analytic = tuple((weight, recycler.iterate_analytic(ions)) for weight, ions, *_ in components)
-    return {name: _pooled(analytic, lambda result: getattr(result, name)) for name in _OUTCOMES}
+    return {name: protocol._pooled(analytic, lambda result: getattr(result, name)) for name in _OUTCOMES}
 
 
 def _run_mixed(cfg: RunConfig) -> dict:
     run = protocol.run_mixed(cfg.fidelity)
-    numeric = _pooled(run.components, lambda ions: recycler.iterate_numeric(ions, cfg.max_passes).p_entangled)
+    numeric = protocol._pooled(run.components, lambda ions: recycler.iterate_numeric(ions, cfg.max_passes).p_entangled)
     return {
         "fidelity": cfg.fidelity,
         "single_pass": {
@@ -201,15 +192,9 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
     ions = _product_ions(cfg)
     sampled = recycler.monte_carlo(ions, cfg.trials, cfg.seed, cfg.max_passes)
     analytic = recycler.iterate_analytic(ions)
-    return {
-        "trials": sampled.trials,
-        "seed": sampled.seed,
-        "frequencies": dict(sampled.frequencies),
-        "standard_errors": dict(sampled.standard_errors),
-        "passes_distribution": list(sampled.passes_distribution.items()),
-        "post_entangled": sampled.post_entangled,
-        "analytic": {name: getattr(analytic, name) for name in _OUTCOMES},
-    }
+    fields = {**sampled._asdict(), "passes_distribution": list(sampled.passes_distribution.items())}
+    del fields["counts"]
+    return {**fields, "analytic": {name: getattr(analytic, name) for name in _OUTCOMES}}
 
 
 def _p_protocol(kind: str, value: float) -> float:

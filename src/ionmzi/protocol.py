@@ -353,28 +353,35 @@ def _mixed_components(fidelity: float) -> Ensemble:
     return tuple((weight, ions) for weight, ions in components if weight > 0.0)
 
 
+def _pooled(components: tuple, value) -> float:
+    """``value(item)`` pooled over (weight, item, ...) components in a plain loop in component order, the one
+    pooler of a mixture's figures: builtin ``sum`` compensates rounding from Python 3.12 on."""
+    total = 0.0
+    for weight, item, *_ in components:
+        total += weight * value(item)
+    return total
+
+
 def run_mixed(fidelity: float) -> MixedPassResult:
     """Single traversal for the two-component mixed input with overlap ``fidelity`` on |Psi+>."""
     runs = tuple((w, ions, single_pass(ions)) for w, ions in _mixed_components(fidelity))
-
-    def pooled(value) -> float:
-        return sum(w * value(r) for w, _, r in runs)
+    passes = tuple((w, r) for w, _, r in runs)
 
     def conditioned(prob, post) -> Ensemble | None:
-        total = pooled(prob)
+        total = _pooled(passes, prob)
         if total <= 0.0:
             return None
-        parts = [(w * prob(r) / total, post(r)) for w, _, r in runs if post(r) is not None]
+        parts = [(w * prob(r) / total, post(r)) for w, r in passes if post(r) is not None]
         return tuple((weight, state) for weight, state in parts if weight > 0.0)
 
     return MixedPassResult(
         input_fidelity=fidelity,
         components=runs,
-        p_scatter_u=pooled(lambda r: r.p_scatter_u),
-        p_scatter_l=pooled(lambda r: r.p_scatter_l),
-        p_detect_upper=pooled(lambda r: r.p_detect_upper),
-        p_detect_lower=pooled(lambda r: r.p_detect_lower),
-        p_recycle=pooled(lambda r: r.p_recycle),
+        p_scatter_u=_pooled(passes, lambda r: r.p_scatter_u),
+        p_scatter_l=_pooled(passes, lambda r: r.p_scatter_l),
+        p_detect_upper=_pooled(passes, lambda r: r.p_detect_upper),
+        p_detect_lower=_pooled(passes, lambda r: r.p_detect_lower),
+        p_recycle=_pooled(passes, lambda r: r.p_recycle),
         post_detect_upper=conditioned(lambda r: r.p_detect_upper, lambda r: r.post_detect_upper),
         post_detect_lower=conditioned(lambda r: r.p_detect_lower, lambda r: r.post_detect_lower),
     )

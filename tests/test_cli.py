@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -103,6 +104,8 @@ class TestParseConfig:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(UsageError, match="warp"):
             RunConfig.from_dict({"scenario": "iterate", "warp": 1})
+        with pytest.raises(UsageError, match="config needs a scenario"):  # the parser always sets it; a caller may not
+            RunConfig.from_dict({"a2": 0.5})
 
     @pytest.mark.parametrize(
         "argv, config, named",
@@ -341,10 +344,15 @@ class TestReports:
         def boom(cfg):
             raise ValueError("synthetic numeric failure")
 
-        monkeypatch.setitem(cli._SCENARIOS, "iterate", (boom, *cli._SCENARIOS["iterate"][1:]))
-        code, _, err = run_cli(capsys, "iterate", "--a2", "0.5")
-        assert code == 1
-        assert "synthetic numeric failure" in err
+        def non_finite(cfg):  # the renderer refuses it, before anything is written
+            return {"p_entangled": math.nan}
+
+        for runner, message in ((boom, "synthetic numeric failure"), (non_finite, "non-finite value in report")):
+            monkeypatch.setitem(cli._SCENARIOS, "iterate", (runner, *cli._SCENARIOS["iterate"][1:]))
+            code, out, err = run_cli(capsys, "iterate", "--a2", "0.5")
+            assert code == 1
+            assert out == ""
+            assert message in err
 
 
 class TestThroughputReports:

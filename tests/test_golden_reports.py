@@ -18,9 +18,15 @@ import os
 import pathlib
 import sys
 
-import pytest
-
 from ionmzi.cli import main
+
+if __name__ == "__main__":  # the writer at the end needs only ionmzi.cli, so it runs where pytest is missing
+    def parametrize(*_args):
+        return lambda test: test
+else:
+    import pytest
+
+    parametrize = pytest.mark.parametrize
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -110,13 +116,13 @@ def render_help(page: str) -> str:
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.out").read_bytes()
     assert render_case(name, tmp_path).encode("utf-8") == expected
 
 
-@pytest.mark.parametrize("page", sorted(HELP_PAGES))
+@parametrize("page", sorted(HELP_PAGES))
 def test_help_matches_golden(page, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
@@ -137,7 +143,7 @@ def _renders_json(argv: list[str]) -> bool:
 _JSON_CASES = sorted(name for name, (argv, _) in CASES.items() if _renders_json(argv))
 
 
-@pytest.mark.parametrize("name", _JSON_CASES)
+@parametrize("name", _JSON_CASES)
 def test_config_echo_reruns_to_same_report(name, tmp_path):
     """A JSON report's echoed config, given back through --config, reproduces the report."""
     expected = (GOLDEN / f"{name}.out").read_text()
@@ -151,7 +157,7 @@ def test_config_echo_reruns_to_same_report(name, tmp_path):
     assert buffer.getvalue() == expected
 
 
-@pytest.mark.parametrize("name", ["throughput_custom", "throughput_paper_mixed", "throughput_paper_product"])
+@parametrize("name", ["throughput_custom", "throughput_paper_mixed", "throughput_paper_product"])
 def test_throughput_echo_is_the_computed_operating_point(name):
     """Every fixed key a throughput report echoes holds the value its results were computed with."""
     report = json.loads((GOLDEN / f"{name}.out").read_text())

@@ -460,6 +460,7 @@ class TestMonteCarlo:
         counts, distribution = self.BUDGET_OUTCOMES[max_passes]
         assert result.counts == counts
         assert result.passes_distribution == distribution
+        assert {name: getattr(result, f"p_{name}") for name in counts} == result.frequencies
 
     def test_walk_ends_when_no_state_is_left(self, monkeypatch):
         """At balanced ``a2`` 1 every photon scatters in round 1, so neither walker tabulates round 2."""

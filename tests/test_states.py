@@ -73,7 +73,9 @@ class TestNormalize:
         # fourth-branch amplitudes (beta*a)/2 and -(alpha*b)/2 with every
         # coefficient 1/sqrt(2): the norm is sqrt(1/8)
         amp = 0.5 * SQRT_HALF * SQRT_HALF
-        norm, unit = normalize(PureState({KET_MP: amp, KET_PM: -amp}))
+        state = PureState({KET_MP: amp, KET_PM: -amp})
+        assert repr(state) == "PureState(2 terms, norm=0.353553)"
+        norm, unit = normalize(state)
         assert norm == pytest.approx(math.sqrt(0.125), abs=1e-15)
         assert abs(unit.norm() - 1.0) < 1e-12
 
@@ -107,6 +109,8 @@ class TestCanonicalForm:
         backward = PureState([(KET_MP, 0.8j), (KET_PM, 0.6)])
         assert forward == backward
         assert hash(forward) == hash(backward)
+        assert forward.__eq__(dict(forward.items())) is NotImplemented  # so a non-state compares by identity
+        assert forward != dict(forward.items())
 
     def test_duplicate_keys_merge(self):
         merged = PureState([(KET_PM, 0.25), (KET_PM, 0.75)])
