@@ -10,12 +10,10 @@ zero.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import contextlib
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -86,7 +84,7 @@ def _dump_json(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return json.dumps(value)
+        return _dump_str(value)
     if isinstance(value, int):  # bool handled above; bool is an int subclass
         return str(value)
     if isinstance(value, float):
@@ -95,10 +93,19 @@ def _dump_json(value) -> str:
         return "[" + ",".join(_dump_json(item) for item in value) + "]"
     if isinstance(value, dict):
         parts = (
-            f"{json.dumps(str(key))}:{_dump_json(value[key])}" for key in sorted(value, key=str)
+            f"{_dump_str(str(key))}:{_dump_json(value[key])}" for key in sorted(value, key=str)
         )
         return "{" + ",".join(parts) + "}"
     return _dump_json(_jsonable(value))
+
+
+def _dump_str(text: str) -> str:
+    """``json.dumps(text)``: written as is where ``json`` would escape nothing, so a plain report needs no ``json``."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
 
 
 def _jsonable(value) -> list | dict:
@@ -313,7 +320,7 @@ _CONFIG_KEYS = {
     "phase_b": _ConfigKey("float", 0.0, "--phase-b"),
     "fidelity": _ConfigKey("float", 0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]")),
     "trials": _ConfigKey("int", 100_000, "--trials", within=(1, 10_000_000)),
-    "seed": _ConfigKey("int", 0, "--seed"),
+    "seed": _ConfigKey("int", 0, "--seed", within=(0, 2**64 - 1)),
     "max_passes": _ConfigKey("int", recycler.MAX_PASSES, "--max-passes", within=(1, 4096)),
     "preset": _ConfigKey("str | None", None, "--preset", choices=_PRESETS),
     "format": _ConfigKey("str", "json", "--format", choices=("json", "csv", "table")),
@@ -374,27 +381,80 @@ def _typed(key: str, value, annotation: str):
     raise UsageError(f"{key} must be {expected}" + (" or null" if optional else ""))
 
 
+#: The flag value converters of the config key types; a ``str`` key's value is the flag's text.
+_KINDS = {"int": int, "float": float}
+
+
+def _flag(key: str) -> tuple[str, tuple]:
+    spec = _CONFIG_KEYS[key]
+    return spec.flag, (key, _KINDS.get(spec.type.partition(" | ")[0]), spec.choices, spec.help)
+
+
+#: Subcommand as argparse spells it -> {flag: (config key, value converter or None, choices, ``--help`` text)},
+#: in ``--help`` order.  ``build_parser`` adds these flags, and ``_read_flags`` reads a plain argv by them.
+_FLAGS = {
+    name.replace("_", "-"): {
+        **dict(_flag(key) for key in (*keys, "format")),
+        "--config": ("config", None, None, "JSON file with config keys; flags override"),
+    }
+    for name, (_, _, keys) in _SCENARIOS.items()
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use; parsing leaves it unchanged."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="Simulate post-selected two-ion entanglement generation in a "
         "single-photon Mach-Zehnder interferometer.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    kinds = {"int": int, "float": float}
-    for name, (_, help_line, keys) in _SCENARIOS.items():
-        command = sub.add_parser(name.replace("_", "-"), help=help_line)
-        for key in (*keys, "format"):
-            spec = _CONFIG_KEYS[key]
-            kind = kinds.get(spec.type.partition(" | ")[0])
-            command.add_argument(spec.flag, dest=key, type=kind, choices=spec.choices, help=spec.help)
-        command.add_argument("--config", help="JSON file with config keys; flags override")
+    for name, (_, help_line, _) in _SCENARIOS.items():
+        subcommand = name.replace("_", "-")
+        command = sub.add_parser(subcommand, help=help_line)
+        for flag, (key, kind, choices, help_text) in _FLAGS[subcommand].items():
+            command.add_argument(flag, dest=key, type=kind, choices=choices, help=help_text)
     return parser
 
 
+def _negative_number(text: str) -> bool:
+    """Whether ``text`` is ``-\\d+`` or ``-\\d*\\.\\d+`` in ASCII digits: argparse takes these as values."""
+    whole, dot, fraction = text[1:].partition(".")
+    return text.isascii() and (whole.isdigit() or not whole and dot) and (fraction.isdigit() or not dot)
+
+
+def _read_flags(argv: list[str]) -> dict | None:
+    """The non-None entries of argparse's namespace for a plain ``<subcommand> --flag value ...`` argv, or None.
+
+    Each flag must be one of the subcommand's, spelled in full; each value is converted, and its choices checked,
+    as ``build_parser`` does.  Any other argv gives None: a help request, an abbreviated flag, ``--flag=value``, a
+    value that fails, or one starting with ``-`` that is not a ``_negative_number``.  argparse parses those, so it
+    stays the only source of help pages and of its errors.
+    """
+    flags = _FLAGS.get(argv[0]) if len(argv) % 2 else None
+    if flags is None:
+        return None
+    given = {"scenario": argv[0]}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or text.startswith("-") and not _negative_number(text):
+            return None
+        key, kind, choices, _ = flags[flag]
+        try:
+            value = text if kind is None else kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[key] = value
+    return given
+
+
 def _load_config_file(path: str) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             values = json.load(handle)
@@ -470,12 +530,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     config keys are rejected by name.  A throughput preset's fixed keys hold
     its operating point, so the report echoes the config it computes.
     """
-    namespace = build_parser().parse_args(argv)
-    given = {k: v for k, v in vars(namespace).items() if v is not None and k != "config"}
+    argv = sys.argv[1:] if argv is None else argv
+    given = _read_flags(argv)
+    if given is None:
+        given = {key: value for key, value in vars(build_parser().parse_args(argv)).items() if value is not None}
     given["scenario"] = given["scenario"].replace("-", "_")
-    merged: dict = {}
-    if namespace.config is not None:
-        merged.update(_load_config_file(namespace.config))
+    path = given.pop("config", None)
+    merged = _load_config_file(path) if path is not None else {}
     merged.update(given)
     cfg = RunConfig.from_dict(merged)
     if cfg.scenario == "sweep" and "format" not in merged:

@@ -240,7 +240,9 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     the round table, as the first trial reaches each round.  A trial still
     recycling when the table ends resolves against the stuck fraction of
     the last recycled state, which is zero without a state.  Deterministic
-    for fixed (seed, trials).
+    for fixed (seed, trials).  Only ``seed`` modulo 2**64 is read, so seeds
+    that differ by a multiple of 2**64 give the same counts; the CLI takes
+    seeds from 0 to 2**64 - 1 only.
 
     The trials run round by round, a chunk of them packed in one int.  This
     gives the counts of a loop over trials exactly: SplitMix64 is counter

@@ -162,6 +162,13 @@ class TestParseConfig:
                 None,
                 "sweep needs --axis (a2, alpha2 or fidelity)",
             ),
+            # monte_carlo reads only the seed modulo 2**64, so a seed outside [0, 2**64 - 1] would run another's stream
+            (["monte-carlo", "--trials", "10", "--seed", "-1"], None, "seed must be nonnegative"),
+            (
+                ["monte-carlo", "--trials", "10", "--seed", "18446744073709551616"],
+                None,
+                "seed must be at most 18446744073709551615",
+            ),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -481,6 +488,13 @@ class TestSchema:
         expected = recycler.iterate_analytic(cli._product_ions(cfg)).p_entangled
         assert value == expected  # bit-exact serialization
 
+    def test_strings_are_written_as_json_writes_them(self):
+        # every ASCII character, then three that json escapes beyond ASCII: a letter, a line separator, an astral one
+        characters = [chr(code) for code in range(0x80)] + ["\u00e9", "\u2028", "\U0001d11e"]
+        for text in ["", *characters, *(f"a {character}b" for character in characters)]:
+            assert cli._dump_json(text) == json.dumps(text), repr(text)
+            assert cli._dump_json({text: 1}) == json.dumps({text: 1}, separators=(",", ":")), repr(text)
+
 
 _IMPORT_PROBE = """
 import sys
@@ -512,8 +526,9 @@ def test_runtime_imports_only_the_standard_library():
 
 
 #: Modules a cold start must not load: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-#: ``typing`` costs about 4 ms.  ``linecache`` is not listed, as Python 3.13 loads it at startup.
-_HEAVY_MODULES = {"dataclasses", "inspect", "typing"}
+#: ``typing`` costs about 4 ms.  A plain report is read without ``argparse``, which pulls in ``gettext`` and
+#: ``locale``, and written without ``json``.  ``linecache`` is not listed, as Python 3.13 loads it at startup.
+_HEAVY_MODULES = {"dataclasses", "inspect", "typing", "argparse", "gettext", "locale", "json"}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Seeded fuzz of ``--config`` files through every subcommand.
+"""Seeded fuzz of ``--config`` files through every subcommand, and of argvs through the plain-argv reader.
 
 The cases come from one fixed seed.  Half of them are well formed for their
 subcommand; the other half break one or two keys with a wrong type, a bool,
@@ -12,8 +12,16 @@ against the published schema.
 (at most 50, 20 and 40), including in the broken cases: the default of
 100,000 Monte Carlo trials would make the suite slow, and a huge count is a
 valid, merely long, run.
+
+The argvs are drawn from a zoo of flags and values, many of them spellings
+that argparse treats in its own way: abbreviations, ``--flag=value``, help,
+``--``, repeated flags, odd token counts, and values such as ``-5.``,
+``-1e5``, ``1_000``, an Arabic-Indic digit or a superscript two.  For each,
+``cli._read_flags`` must give either None or exactly what argparse parses.
 """
 
+import contextlib
+import io
 import json
 import random
 from importlib import resources
@@ -21,7 +29,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from ionmzi import cli
 from ionmzi.cli import _CONFIG_KEYS, main
+from test_golden_reports import CASES as GOLDEN_CASES
 
 SEED = 20240611
 CASES = 400
@@ -149,3 +159,77 @@ def test_unreadable_config_file_is_usage_error(capsys, tmp_path, content):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: config file is not valid JSON: ")
+
+
+ARGV_SEED = 20261019
+ARGV_CASES = 3000
+_FLAGS = sorted({spec.flag for spec in _CONFIG_KEYS.values() if spec.flag} | {"--config"})
+#: Tokens that argparse reads in its own way when given as a flag.
+_ODD_FLAGS = (
+    "--a", "--al", "--phase", "--phase-al", "--tri", "--se", "--fo", "--conf", "--sc", "--pre", "--max", "--poi",
+    "--a2=0.5", "--seed=3", "--format=json", "-h", "--help", "--h", "--", "-", "--bogus", "single-pass", "a2",
+)
+_VALUES = (
+    "-5", "-.5", "-5.", "-1e5", "-0", "-0.25", "-5 ", "- 5", "-\u0663", "-\u00b2", "-x", "--", "-h",
+    "nan", "inf", "-inf", "", " 0.5", "1_000", "\u0663", "0", "1", "3", "7", "40", "0.5", "0.25", "1e-3", "2.5",
+    "json", "csv", "table", "xml", "paper-mixed", "paper-product", "paper-cavity", "paper",
+    "single_pass", "iterate", "mixed", "a2", "alpha2", "fidelity", "zzz", "run.json",
+)
+#: Values that fit a flag: one of its choices, else a number in one of its spellings.
+_CHOICES = {spec.flag: tuple(spec.choices) for spec in _CONFIG_KEYS.values() if spec.flag and spec.choices}
+_NUMBERS = ("0", "1", "3", "0.5", "-0.25", "-.5", "-5", "1_000", "\u0663", " 0.5", "nan", "1e-3")
+_SUBCOMMANDS_AND_STRAYS = (*SUBCOMMANDS, *SUBCOMMANDS, "single_pass", "monte", "-h", "--help", "--", "--a2")
+
+
+def _argv(rng: random.Random) -> list[str]:
+    argv = [rng.choice(_SUBCOMMANDS_AND_STRAYS)]
+    scenario = cli._SCENARIOS.get(argv[0].replace("-", "_"), (None, None, ()))
+    own = [_CONFIG_KEYS[key].flag for key in scenario[2]] + ["--format", "--config"]
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        flag = rng.choice(_ODD_FLAGS if roll < 0.2 else _FLAGS if roll < 0.3 else own)
+        if rng.random() < 0.2 and len(argv) > 1:
+            flag = argv[rng.randrange(1, len(argv), 2)]  # a flag given again, or a value given as a flag
+        fits = _CHOICES.get(flag, _NUMBERS)
+        argv += [flag, rng.choice(_VALUES if rng.random() < 0.4 else fits)]
+    if rng.random() < 0.1:
+        argv.append(rng.choice((*_FLAGS, *_VALUES)))
+    return argv
+
+
+def _argparse_entries(argv: list[str]) -> dict | None:
+    """The non-None entries of argparse's namespace for ``argv``, or None if argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+    return {key: value for key, value in vars(namespace).items() if value is not None}
+
+
+def test_plain_argv_reader_agrees_with_argparse():
+    rng = random.Random(ARGV_SEED)
+    read = parsed = 0
+    for _ in range(ARGV_CASES):
+        argv = _argv(rng)
+        entries = _argparse_entries(argv)
+        given = cli._read_flags(argv)
+        if entries is None:
+            assert given is None, argv
+            continue
+        parsed += 1
+        if given is not None:
+            read += 1
+            # repr tells 3 from 3.0 and matches nan with nan
+            assert repr(sorted(given.items())) == repr(sorted(entries.items())), argv
+    # each path is taken often: argparse exits, the reader reads, the reader hands a valid argv to argparse
+    assert ARGV_CASES - parsed > ARGV_CASES // 5 and read > ARGV_CASES // 5 and parsed - read > 30, (read, parsed)
+
+
+def test_plain_argv_reader_reads_every_golden_argv():
+    for name, (argv, config) in GOLDEN_CASES.items():
+        if config is not None:
+            argv = [*argv, "--config", f"{name}.json"]
+        given = cli._read_flags(argv)
+        assert given is not None, name
+        assert repr(sorted(given.items())) == repr(sorted(_argparse_entries(argv).items())), name
