@@ -71,32 +71,52 @@ class UsageError(Exception):
 
 
 def _format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError("non-finite value in report")
     return format(value, ".17g")
 
 
 def _dump_json(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return _dump_str(value)
-    if isinstance(value, int):  # bool handled above; bool is an int subclass
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if type(value) in (list, tuple):  # a record is a tuple subclass, dumped by field name below
-        return "[" + ",".join(_dump_json(item) for item in value) + "]"
-    if isinstance(value, dict):
-        parts = (
-            f"{_dump_str(str(key))}:{_dump_json(value[key])}" for key in sorted(value, key=str)
-        )
-        return "{" + ",".join(parts) + "}"
-    return _dump_json(_jsonable(value))
+    parts: list[str] = []
+    _write(value, parts)
+    return "".join(parts)
+
+
+def _write(value, parts: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``parts``, dispatching on its exact type, most common first."""
+    kind = type(value)
+    if kind is float:
+        parts.append(_format_float(value))
+    elif kind is dict:
+        parts.append("{")
+        for key in sorted(value, key=str):
+            parts.append(_key_text(str(key)))
+            _write(value[key], parts)
+            parts.append(",")
+        parts[-1] = "}" if value else "{}"  # over the last comma, or over the opening brace of an empty object
+    elif kind is list or kind is tuple:  # a record is a tuple subclass, written by field name below
+        parts.append("[")
+        for item in value:
+            _write(item, parts)
+            parts.append(",")
+        parts[-1] = "]" if value else "[]"
+    elif kind is str:
+        parts.append(_dump_str(value))
+    elif value is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif kind is int:
+        parts.append(str(value))
+    elif kind is complex:
+        parts.append(f"[{_format_float(value.real)},{_format_float(value.imag)}]")
+    else:
+        parts.append("{")
+        for _, key, index in _record_fields(kind):
+            parts.append(key)
+            _write(value[index], parts)
+            parts.append(",")
+        parts[-1] = "}" if value else "{}"
 
 
 def _dump_str(text: str) -> str:
@@ -108,12 +128,18 @@ def _dump_str(text: str) -> str:
     return json.dumps(text)
 
 
-def _jsonable(value) -> list | dict:
-    """A report value that is not JSON data as JSON data: a complex number as ``[re, im]``,
-    a result record such as an ion state as its fields by name."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value._asdict()
+@functools.cache
+def _key_text(key: str) -> str:
+    """A dict key's text as JSON with its colon, written once: keys are field names, so the cache holds a few dozen."""
+    return _dump_str(key) + ":"
+
+
+@functools.cache
+def _record_fields(kind: type) -> tuple[tuple[str, str, int], ...]:
+    """A result record's fields by sorted name, as (name, JSON key text, index): a record renders as these."""
+    if not (issubclass(kind, tuple) and hasattr(kind, "_fields")):
+        raise TypeError(f"{kind.__name__} is not a report value")
+    return tuple(sorted((name, _key_text(name), index) for index, name in enumerate(kind._fields)))
 
 
 def _iteration(result: recycler.IterationResult) -> dict:
@@ -550,7 +576,7 @@ def build_report(cfg: RunConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "scenario": cfg.scenario,
-        "config": cfg._asdict(),
+        "config": cfg,
         "results": _SCENARIOS[cfg.scenario][0](cfg),
         "notes": list(_PRESETS[cfg.preset][1]) if cfg.preset is not None else [],
     }
@@ -564,7 +590,7 @@ def _render_csv(report: dict) -> str:
 
 
 def _render_table(value, indent: str = "") -> list[str]:
-    """Indented lines of a dict or list; every non-scalar item nests, result objects as JSON data."""
+    """Indented lines of a dict or list; every non-scalar item nests, as in JSON."""
     lines: list[str] = []
     keyed = isinstance(value, dict)
     for key in sorted(value, key=str) if keyed else range(len(value)):
@@ -574,8 +600,10 @@ def _render_table(value, indent: str = "") -> list[str]:
             lines.append(f"{head} {_format_float(item) if isinstance(item, float) else item}")
             continue
         lines.append(head)
-        if type(item) not in (dict, list, tuple):  # a record nests by field name, as in JSON
-            item = _jsonable(item)
+        if type(item) is complex:
+            item = [item.real, item.imag]
+        elif type(item) not in (dict, list, tuple):
+            item = {name: item[index] for name, _, index in _record_fields(type(item))}
         lines.extend(_render_table(item, indent + "  "))
     return lines
 

@@ -23,6 +23,11 @@ ran the schedule before ``single_pass`` was generated.  The reference keeps
 the input stage, pruned as ``PureState`` prunes, that the generated
 function leaves out.
 
+``reference_dump_json`` is the report writer as it was before it wrote
+every piece into one list: an ``isinstance`` chain per value, one join per
+container, a record through its ``_asdict()``.  ``ionmzi.cli._dump_json``
+is pinned equal to it on seeded nested values.
+
 The references restate what they pin rather than import it: the ket index
 arithmetic (``PAIRS``, ``MODE_INDEX``, ``LEVEL_INDEX``), which ``ionmzi.states``
 gives only as the order of ``KETS``, and the scalar SplitMix64 stream of
@@ -32,6 +37,7 @@ each trial, which ``ionmzi.recycler`` computes only lane-wise.
 from __future__ import annotations
 
 import math
+from json import dumps as _dump_str  # the CLI's _dump_str writes what json.dumps writes
 
 from ionmzi.elements import _ABSORBING_LEVEL, _OTHER_PORT, _REFLECTION_PHASE
 from ionmzi.protocol import (
@@ -451,3 +457,40 @@ def reference_schedule(photon_pol: Polarization, entry: tuple[Port, Direction]) 
         if [(ket, amp) for ket, amp in zip(kets, final) if amp] != list(composed):
             raise RuntimeError("single-pass schedule disagrees with the element maps")
     return tuple(stages), tuple(readout)
+
+
+def _format_float(value: float) -> str:
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError("non-finite value in report")
+    return format(value, ".17g")
+
+
+def reference_dump_json(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _dump_str(value)
+    if isinstance(value, int):  # bool handled above; bool is an int subclass
+        return str(value)
+    if isinstance(value, float):
+        return _format_float(value)
+    if type(value) in (list, tuple):  # a record is a tuple subclass, dumped by field name below
+        return "[" + ",".join(reference_dump_json(item) for item in value) + "]"
+    if isinstance(value, dict):
+        parts = (
+            f"{_dump_str(str(key))}:{reference_dump_json(value[key])}" for key in sorted(value, key=str)
+        )
+        return "{" + ",".join(parts) + "}"
+    return reference_dump_json(_jsonable(value))
+
+
+def _jsonable(value) -> list | dict:
+    """A report value that is not JSON data as JSON data: a complex number as ``[re, im]``,
+    a result record such as an ion state as its fields by name."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value._asdict()

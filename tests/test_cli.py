@@ -13,6 +13,7 @@ import pytest
 
 from ionmzi import cli
 from ionmzi.cli import RunConfig, UsageError, main, parse_config
+from ionmzi.efficiency import ThroughputReport
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -231,6 +232,25 @@ class TestParseConfig:
         assert out1 == out2
 
 
+_SWEEP_CSV = ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "2"]
+
+
+def _in_a_record(bad: float) -> dict:
+    return {"report": ThroughputReport(0.5, 0.5, bad, 0.5)}
+
+
+#: Where a report may hold a float -> (argv, the results holding ``bad`` there); the runner of argv[0] returns them.
+_NON_FINITE_POSITIONS = {
+    "dict-value": (["iterate"], lambda bad: {"analytic": {"p_entangled": bad}}),
+    "list-item": (["iterate"], lambda bad: {"rows": [0.5, bad]}),
+    "complex-real": (["iterate"], lambda bad: {"u_plus": complex(bad, 0.5)}),
+    "complex-imag": (["iterate"], lambda bad: {"u_plus": complex(0.5, bad)}),
+    "record-field": (["iterate"], _in_a_record),
+    "table-record-field": (["iterate", "--format", "table"], _in_a_record),
+    "csv-cell": (_SWEEP_CSV, lambda bad: {"columns": ["a2", "p"], "rows": [{"a2": 0.0, "p": bad}]}),
+}
+
+
 class TestReports:
     def test_iterate_report_value(self, capsys):
         code, out, _ = run_cli(capsys, "iterate", "--a2", "0.7")
@@ -360,6 +380,16 @@ class TestReports:
             assert code == 1
             assert out == ""
             assert message in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", sorted(_NON_FINITE_POSITIONS))
+    def test_non_finite_value_is_refused_in_every_position(self, capsys, monkeypatch, position, bad):
+        argv, results = _NON_FINITE_POSITIONS[position]
+        monkeypatch.setitem(cli._SCENARIOS, argv[0], (lambda cfg: results(bad), *cli._SCENARIOS[argv[0]][1:]))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: non-finite value in report\n"
 
 
 class TestThroughputReports:

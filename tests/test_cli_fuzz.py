@@ -18,19 +18,28 @@ that argparse treats in its own way: abbreviations, ``--flag=value``, help,
 ``--``, repeated flags, odd token counts, and values such as ``-5.``,
 ``-1e5``, ``1_000``, an Arabic-Indic digit or a superscript two.  For each,
 ``cli._read_flags`` must give either None or exactly what argparse parses.
+
+The report writer is fuzzed on seeded nested values: dicts with str and int
+keys, many of them escaped by JSON, lists, tuples, records nested in each
+other, complex numbers and edge floats.  ``cli._dump_json`` must write each
+exactly as ``oracles.reference_dump_json``, the writer it replaced.
 """
 
 import contextlib
 import io
 import json
 import random
+from collections import namedtuple
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from ionmzi import cli
-from ionmzi.cli import _CONFIG_KEYS, main
+from ionmzi.cli import _CONFIG_KEYS, RunConfig, main
+from ionmzi.efficiency import ReferenceValue, ThroughputReport
+from ionmzi.protocol import IonPairState
+from oracles import reference_dump_json
 from test_golden_reports import CASES as GOLDEN_CASES
 
 SEED = 20240611
@@ -233,3 +242,69 @@ def test_plain_argv_reader_reads_every_golden_argv():
         given = cli._read_flags(argv)
         assert given is not None, name
         assert repr(sorted(given.items())) == repr(sorted(_argparse_entries(argv).items())), name
+
+
+WRITER_SEED = 20261020
+WRITER_CASES = 2500
+#: Dict keys: plain names; every one that JSON escapes, from each control character to a letter and a line separator
+#: beyond ASCII; and ints.  "\x0b" and "\x0c" escape to "\u000b" and "\f", which sort the other way round.
+_WRITER_KEYS = (
+    "a2", "p_entangled", "columns", "", " ", '"', "\\", 'a"b', "a\\b", "\u00e9", "\u2028", "\x7f",
+    *(chr(code) for code in range(0x20)), 0, -1, 7, 10, 2**64,
+)
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1, 1 / 3, -2.5)
+_OTHER_LEAVES = (True, False, None, 0, -1, 2**64, "", "text", '"', "\\", "\x0b", "\u00e9", "\u2028")
+#: Records whose fields are out of name order, and one without fields.
+_Pair = namedtuple("_Pair", "zeta alpha")
+_Triple = namedtuple("_Triple", "mid c_b a_1")
+_Empty = namedtuple("_Empty", "")
+_RECORDS = (_Pair, _Triple, _Empty, ThroughputReport, ReferenceValue, RunConfig)
+#: Kinds of value, by weight; from depth 4 on only the first four, which hold no other value.
+_VALUE_KINDS = {"float": 30, "leaf": 10, "complex": 10, "ions": 5, "dict": 18, "list": 9, "tuple": 9, "record": 9}
+
+
+def _float(rng: random.Random) -> float:
+    if rng.random() < 0.5:
+        return rng.choice(_EDGE_FLOATS)
+    return rng.choice((1.0, -1.0)) * rng.random() * 10.0 ** rng.randint(-320, 300)
+
+
+def _report_value(rng: random.Random, drawn: dict, depth: int = 0):
+    """A nested value for the writer; ``drawn`` counts each kind of value."""
+    kinds = list(_VALUE_KINDS)[: 8 if depth < 4 else 4]
+    kind = rng.choices(kinds, [_VALUE_KINDS[name] for name in kinds])[0]
+    drawn[kind] += 1
+    if kind == "float":
+        return _float(rng)
+    if kind == "leaf":
+        return rng.choice(_OTHER_LEAVES)
+    if kind == "complex":
+        return complex(_float(rng), _float(rng))
+    if kind == "ions":
+        return IonPairState.from_unnormalized(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+    if kind == "record":
+        record = rng.choice(_RECORDS)
+        return record(*(_report_value(rng, drawn, depth + 1) for _ in record._fields))
+    items = [_report_value(rng, drawn, depth + 1) for _ in range(rng.choice((0, 1, 2, 3, 5)))]
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    value = dict(zip(rng.sample(_WRITER_KEYS, len(items)), items))
+    if rng.random() < 0.2:
+        value.update({"\x0c": _float(rng), "\x0b": _float(rng)})
+        drawn["vt-ff"] += 1
+    return value
+
+
+def test_report_writer_agrees_with_reference():
+    assert cli._dump_json({"\x0c": 1, "\x0b": 2}) == '{"\\u000b":2,"\\f":1}'  # sorted by raw key, not its text
+    rng = random.Random(WRITER_SEED)
+    drawn = dict.fromkeys([*_VALUE_KINDS, "vt-ff"], 0)
+    for _ in range(WRITER_CASES):
+        value = _report_value(rng, drawn)
+        assert cli._dump_json(value) == reference_dump_json(value), value
+    assert min(drawn.values()) > 200, drawn
+    for value in ({0.5}, b"0.5", [object()]):  # no report holds these: the writer refuses them
+        with pytest.raises(TypeError, match="is not a report value"):
+            cli._dump_json(value)
