@@ -21,8 +21,6 @@ from .states import (
     Polarization,
     Port,
     PureState,
-    equal_up_to_global_phase,
-    inner_product,
     normalize,
 )
 from .elements import MirrorId, beam_splitter, detect, ion_interaction, mirror
@@ -51,9 +49,6 @@ from .recycler import (
 from .efficiency import (
     ThroughputReport,
     cavity_decay_rate,
-    cavity_emission_probability,
-    cavity_mode_volume,
-    coupling_constant,
     throughput,
 )
 

@@ -539,9 +539,11 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
             raise UsageError("axis fidelity needs --scenario mixed")
         if cfg.axis != "fidelity" and cfg.sweep_scenario == "mixed":
             raise UsageError("scenario mixed sweeps the fidelity axis")
-    if cfg.scenario == "throughput" and cfg.preset is None:
+    if cfg.scenario == "throughput":
+        if cfg.alpha2 is not None:
+            raise UsageError("throughput reads a matched product at a2; drop alpha2")
         needed = ("p_cav", "detector_efficiency", "photon_rate", "protocol")
-        if any(getattr(cfg, name) is None for name in needed):
+        if cfg.preset is None and any(getattr(cfg, name) is None for name in needed):
             raise UsageError(
                 "throughput needs --preset or config keys p_cav, detector_efficiency, "
                 "photon_rate and protocol"

@@ -18,8 +18,7 @@ records: ``namedtuple`` subclasses without an instance ``__dict__``, and the
 enums that label them hash by identity, so a ket hashes in C.
 
 Global phase is never divided out automatically: ``normalize`` rescales by
-a positive real factor only, and ray equality is a separate comparison
-(``equal_up_to_global_phase``).
+a positive real factor only.
 """
 
 from __future__ import annotations
@@ -227,14 +226,3 @@ def normalize(state: PureState) -> tuple[float, PureState]:
     inv = 1.0 / norm
     return norm, PureState(indexed=((index, amp * inv) for index, amp in state.indexed_items()))
 
-
-def inner_product(bra: PureState, ket: PureState) -> complex:
-    """<bra|ket>, conjugate-linear in the first argument."""
-    return sum((amp.conjugate() * ket._amps.get(index, 0j) for index, amp in bra.indexed_items()), 0j)
-
-
-def equal_up_to_global_phase(first: PureState, second: PureState, tol: float = NORM_TOL) -> bool:
-    """Whether the two states describe the same ray within ``tol``."""
-    _, a = normalize(first)
-    _, b = normalize(second)
-    return 1.0 - abs(inner_product(a, b)) <= tol

@@ -5,7 +5,9 @@ traversal directly, term by term, without touching the element maps, so
 the element-composed driver can be pinned against it coefficient by
 coefficient.  ``reference_single_pass`` reads the branches straight off the
 composed state of ``evolve_single_pass``, so the generated ``single_pass``
-can be pinned against it bit for bit.  ``ensemble_fidelity`` scores a
+can be pinned against it bit for bit.  ``inner_product`` and
+``equal_up_to_global_phase`` give the overlap of two states and compare
+them as rays, which only the tests need.  ``ensemble_fidelity`` scores a
 heralded (weight, ion-pair state) ensemble against a target.
 ``reference_iterate_numeric`` and ``reference_monte_carlo`` are the two
 recycling walkers as they were before they shared one round table, each
@@ -54,6 +56,7 @@ from ionmzi.protocol import (
 from ionmzi.recycler import MAX_PASSES, TRUNCATION_EPSILON, IterationResult, MonteCarloResult
 from ionmzi.states import (
     MODES,
+    NORM_TOL,
     PRUNE_EPS,
     BasisState,
     Direction,
@@ -65,6 +68,7 @@ from ionmzi.states import (
     Port,
     PureState,
     abs2,
+    normalize,
 )
 
 SQRT_HALF = 2.0 ** -0.5
@@ -176,6 +180,19 @@ def max_amplitude_delta(first: PureState, second: PureState) -> float:
     """Largest per-coefficient difference between two states."""
     keys = {basis for basis, _ in first.items()} | {basis for basis, _ in second.items()}
     return max(abs(first.amplitude(k) - second.amplitude(k)) for k in keys) if keys else 0.0
+
+
+def inner_product(bra: PureState, ket: PureState) -> complex:
+    """<bra|ket>, conjugate-linear in the first argument."""
+    amps = dict(ket.indexed_items())
+    return sum((amp.conjugate() * amps.get(index, 0j) for index, amp in bra.indexed_items()), 0j)
+
+
+def equal_up_to_global_phase(first: PureState, second: PureState, tol: float = NORM_TOL) -> bool:
+    """Whether the two states describe the same ray within ``tol``."""
+    _, a = normalize(first)
+    _, b = normalize(second)
+    return 1.0 - abs(inner_product(a, b)) <= tol
 
 
 def ensemble_fidelity(ensemble: Ensemble, target: IonPairState) -> float:

@@ -170,6 +170,17 @@ class TestParseConfig:
                 None,
                 "seed must be at most 18446744073709551615",
             ),
+            # throughput prices a matched product, so an alpha2 it would echo but never read is refused
+            (
+                ["throughput"],
+                {"protocol": "product", "a2": 0.7, "alpha2": 0.3},
+                "throughput reads a matched product at a2; drop alpha2",
+            ),
+            (
+                ["throughput", "--preset", "paper-product"],
+                {"alpha2": 0.3},
+                "throughput reads a matched product at a2; drop alpha2",
+            ),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):

@@ -1,3 +1,12 @@
+"""The decay-rate formula, the throughput, and the cavity formulas behind the quoted emission probability.
+
+``ionmzi.efficiency`` takes the emission probability as the quoted 0.01: the
+dipole element and the non-cavity loss rate that would derive it have no
+published values, so no report evaluates the cavity-QED formulas.  They are
+kept here, as they stood in the library, as the executable statement of
+README's emission formula, with the limits and validation that pin them.
+"""
+
 import math
 
 import numpy as np
@@ -7,11 +16,60 @@ from ionmzi.efficiency import (
     REFERENCE_POINT,
     SPEED_OF_LIGHT,
     cavity_decay_rate,
-    cavity_emission_probability,
-    cavity_mode_volume,
-    coupling_constant,
     throughput,
 )
+
+PLANCK = 6.626_070_15e-34
+HBAR = PLANCK / (2.0 * math.pi)
+VACUUM_PERMITTIVITY = 8.854_187_8128e-12
+#: Wavelength of the detected 393 nm transition, in m.
+WAVELENGTH = 393e-9
+
+
+def cavity_mode_volume(length: float, wavelength: float) -> float:
+    """Confocal-cavity mode volume length^2 * wavelength / 4."""
+    if not (length > 0.0 and wavelength > 0.0):
+        raise ValueError("length and wavelength must be positive")
+    return length * length * wavelength / 4.0
+
+
+def coupling_constant(dipole_moment: float, wavelength: float, length: float) -> float:
+    """Transition-cavity coupling (D/hbar) * sqrt(h*c / (2*eps0*wavelength*V)).
+
+    Uses the confocal mode volume for V.
+    """
+    if not dipole_moment > 0.0:
+        raise ValueError("dipole moment must be positive")
+    volume = cavity_mode_volume(length, wavelength)
+    return (
+        dipole_moment
+        / HBAR
+        * math.sqrt(
+            PLANCK * SPEED_OF_LIGHT / (2.0 * VACUUM_PERMITTIVITY * wavelength * volume)
+        )
+    )
+
+
+def cavity_emission_probability(cavity_decay: float, coupling: float, loss_rate: float) -> float:
+    """Probability 4*g*W^2 / ((g+G)*(g*G + 4*W^2)) of emitting into the cavity mode.
+
+    ``cavity_decay`` is the cavity decay rate, ``coupling`` the
+    transition-cavity coupling constant and ``loss_rate`` the non-cavity
+    loss rate.  Lies in [0, 1] for any finite nonnegative rates; returned raw,
+    never clamped.
+    """
+    if not all(0.0 <= rate < math.inf for rate in (cavity_decay, coupling, loss_rate)):
+        raise ValueError("rates must be nonnegative")
+    # The formula is homogeneous of degree 0 in the rates.  Scaling them exactly, by the power of two that
+    # brings the largest into [0.5, 1), keeps its terms from overflowing or underflowing at any scale.
+    _, exponent = math.frexp(max(cavity_decay, coupling, loss_rate))
+    cavity_decay, coupling, loss_rate = (math.ldexp(rate, -exponent) for rate in (cavity_decay, coupling, loss_rate))
+    denominator = (cavity_decay + loss_rate) * (
+        cavity_decay * loss_rate + 4.0 * coupling * coupling
+    )
+    if denominator == 0.0:
+        raise ValueError("zero denominator")
+    return 4.0 * cavity_decay * coupling * coupling / denominator
 
 
 def reference_params(**overrides) -> dict:
@@ -59,12 +117,6 @@ class TestCavityDecayRate:
             cavity_decay_rate(math.nan, 3e-3)
         with pytest.raises(ValueError, match="finesse and length must be positive"):
             cavity_decay_rate(19000.0, math.nan)
-        with pytest.raises(ValueError, match="length and wavelength must be positive"):
-            cavity_mode_volume(math.nan, 393e-9)
-        with pytest.raises(ValueError, match="dipole moment must be positive"):
-            coupling_constant(math.nan, 393e-9, 3e-3)
-        with pytest.raises(ValueError, match="length and wavelength must be positive"):
-            coupling_constant(1e-29, math.nan, 3e-3)
 
 
 class TestCouplingConstant:
@@ -82,6 +134,14 @@ class TestCouplingConstant:
 
     def test_mode_volume_and_waist(self):
         assert cavity_mode_volume(3e-3, 393e-9) == pytest.approx(9e-6 * 393e-9 / 4.0, rel=1e-12)
+
+    def test_positive_inputs_required(self):
+        with pytest.raises(ValueError, match="length and wavelength must be positive"):
+            cavity_mode_volume(math.nan, 393e-9)
+        with pytest.raises(ValueError, match="dipole moment must be positive"):
+            coupling_constant(math.nan, 393e-9, 3e-3)
+        with pytest.raises(ValueError, match="length and wavelength must be positive"):
+            coupling_constant(1e-29, math.nan, 3e-3)
 
 
 class TestEmissionProbability:
@@ -156,9 +216,8 @@ class TestThroughput:
     def test_formula_chain_when_no_operating_point(self):
         finesse = REFERENCE_POINT["finesse"].value
         length = REFERENCE_POINT["cavity_length"].value
-        wavelength = REFERENCE_POINT["wavelength"].value
         p_cav = cavity_emission_probability(
-            cavity_decay_rate(finesse, length), coupling_constant(1e-29, wavelength, length), 1e7
+            cavity_decay_rate(finesse, length), coupling_constant(1e-29, WAVELENGTH, length), 1e7
         )
         report = throughput(0.2, **reference_params(p_cav=p_cav))
         assert report.p_cav == p_cav

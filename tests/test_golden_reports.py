@@ -19,6 +19,7 @@ import pathlib
 import sys
 
 from ionmzi.cli import main
+from ionmzi.efficiency import REFERENCE_POINT
 
 if __name__ == "__main__":  # the writer at the end needs only ionmzi.cli, so it runs where pytest is missing
     def parametrize(*_args):
@@ -165,6 +166,22 @@ def test_throughput_echo_is_the_computed_operating_point(name):
     operating_point = ("p_cav", "detector_efficiency", "outcoupling", "photon_rate")
     computed = {**results["source"], **{key: results[key] for key in operating_point}}
     assert {key: report["config"][key] for key in computed} == computed
+
+
+def _numbers(value) -> set:
+    """Every number held anywhere in a parsed JSON value."""
+    if isinstance(value, dict):
+        return set().union(*map(_numbers, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_numbers, value))
+    return {value} if isinstance(value, (int, float)) and not isinstance(value, bool) else set()
+
+
+def test_every_quoted_constant_reaches_a_report():
+    """Each reference constant is echoed by a paper preset's report, so none is kept for documentation only."""
+    presets = ("throughput_paper_cavity", "throughput_paper_mixed", "throughput_paper_product")
+    reported = set().union(*(_numbers(json.loads((GOLDEN / f"{name}.out").read_text())) for name in presets))
+    assert [name for name, quoted in REFERENCE_POINT.items() if quoted.value not in reported] == []
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ README = pathlib.Path(__file__).parents[1] / "README.md"
 
 def test_exports_are_sorted_unique_and_complete():
     exported = ionmzi.__all__
-    assert len(exported) == 41  # __all__ is computed from the imports, so this row catches a dropped or stray one
+    assert len(exported) == 36  # __all__ is computed from the imports, so this row catches a dropped or stray one
     assert exported == sorted(exported)
     assert len(set(exported)) == len(exported)
     for name in exported:

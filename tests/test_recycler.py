@@ -21,10 +21,11 @@ from ionmzi.recycler import (
     iterate_numeric,
     monte_carlo,
 )
-from ionmzi.states import ModeKind, PureState, equal_up_to_global_phase
+from ionmzi.states import ModeKind, PureState
 
 import oracles
 from oracles import (
+    equal_up_to_global_phase,
     random_ion_pair,
     random_product_amplitudes,
     reference_iterate_numeric,

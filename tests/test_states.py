@@ -13,10 +13,10 @@ from ionmzi.states import (
     Port,
     PureState,
     basis_index,
-    equal_up_to_global_phase,
-    inner_product,
     normalize,
 )
+
+from oracles import equal_up_to_global_phase, inner_product
 
 VAC = PhotonMode.vacuum()
 SQRT_HALF = 2.0 ** -0.5
