@@ -29,16 +29,16 @@ TOOL_NAME = "ionmzi"
 _SWEEP_AXES = ("a2", "alpha2", "fidelity")
 #: Throughput protocol -> the config key of its source value.
 _SOURCE_KEY = {"mixed": "fidelity", "product": "a2"}
-#: Config keys a throughput preset fixes: each resolves to the preset's value, or to its
-#: RunConfig default where the preset sets none.  A config may give one only at that value,
-#: which the report echoes, so an echo re-runs.
-_PRESET_FIXES = ("a2", "fidelity", "p_cav", "detector_efficiency", "outcoupling", "photon_rate", "protocol")
 _REFERENCE = efficiency.REFERENCE_POINT
 _OPERATING_POINT = {
     "p_cav": _REFERENCE["emission_probability_quoted"].value,
     "detector_efficiency": _REFERENCE["detector_efficiency"].value,
     "photon_rate": _REFERENCE["photon_rate"].value,
 }
+#: Config keys a throughput preset fixes: each resolves to the preset's value, or to its
+#: RunConfig default where the preset sets none.  A config may give one only at that value,
+#: which the report echoes, so an echo re-runs.
+_PRESET_FIXES = (*_SOURCE_KEY.values(), *_OPERATING_POINT, "outcoupling", "protocol")
 #: Throughput preset -> (the fixed keys it sets, notes).  ``paper-cavity`` reports the
 #: cavity formulas instead of a throughput, so it sets none.
 _PRESETS = {
@@ -230,17 +230,6 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
     return {**fields, "analytic": {name: getattr(analytic, name) for name in _OUTCOMES}}
 
 
-def _p_protocol(kind: str, value: float) -> float:
-    """Iterated success of the mixed input with fidelity ``value``, pooled over its components, or of the
-    matched product input with m+ population ``value``."""
-    if kind == "mixed":
-        return _mixed_iterated(protocol._mixed_components(value))["p_entangled"]
-    amp_plus = math.sqrt(value)
-    amp_minus = math.sqrt(1.0 - value)
-    ions = IonPairState.product(amp_plus, amp_minus, amp_plus, amp_minus)
-    return recycler.iterate_analytic(ions).p_entangled
-
-
 def _run_throughput(cfg: RunConfig) -> dict:
     if cfg.preset == "paper-cavity":
         finesse = _REFERENCE["finesse"].value
@@ -263,10 +252,13 @@ def _run_throughput(cfg: RunConfig) -> dict:
                 },
             },
         }
+    if cfg.protocol == "mixed":  # the iterated success as the mixed and iterate reports give it
+        p_protocol = _mixed_iterated(protocol._mixed_components(cfg.fidelity))["p_entangled"]
+    else:
+        p_protocol = recycler.iterate_analytic(_product_ions(cfg)).p_entangled
     source_key = _SOURCE_KEY[cfg.protocol]
-    value = getattr(cfg, source_key)
     report = efficiency.throughput(
-        _p_protocol(cfg.protocol, value),
+        p_protocol,
         p_cav=cfg.p_cav,
         detector_efficiency=cfg.detector_efficiency,
         photon_rate=cfg.photon_rate,
@@ -274,7 +266,7 @@ def _run_throughput(cfg: RunConfig) -> dict:
     )
     return {
         "preset": cfg.preset,
-        "source": {"protocol": cfg.protocol, source_key: value},
+        "source": {"protocol": cfg.protocol, source_key: getattr(cfg, source_key)},
         **report._asdict(),
         "detector_efficiency": cfg.detector_efficiency,
         "outcoupling": cfg.outcoupling,
@@ -494,20 +486,21 @@ def _load_config_file(path: str) -> dict:
 
 
 def _validate(cfg: RunConfig, given: dict) -> RunConfig:
-    """``cfg`` checked, and resolved to its preset's operating point; ``given`` holds the keys set."""
+    """``cfg`` checked, and resolved to its preset's operating point.  Only the keys that ``given`` sets are checked
+    against their choices and range: defaults and preset values are constants, which ``tests/test_cli.py`` holds."""
     if cfg.preset is not None:
         if cfg.scenario != "throughput":
             raise UsageError("preset is only available for throughput")
         if cfg.preset not in _PRESETS:
             raise UsageError(f"unknown preset: {cfg.preset}")
         point = _PRESETS[cfg.preset][0]
-        echoed = RunConfig(cfg.scenario, **point)
-        fixed = [key for key in _PRESET_FIXES if key in given and getattr(cfg, key) != getattr(echoed, key)]
+        fixed = [key for key in _CONFIG_KEYS if key in _PRESET_FIXES and key in given
+                 and getattr(cfg, key) != point.get(key, _CONFIG_KEYS[key].default)]
         if fixed:
             raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
         cfg = cfg._replace(**point)
     for (name, spec), value in zip(_CONFIG_KEYS.items(), cfg):
-        if value is None:
+        if value is None or name not in given:
             continue
         label = (spec.flag or name).lstrip("-")
         if spec.choices is not None and value not in spec.choices:
@@ -525,9 +518,9 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
     if cfg.format == "csv" and cfg.scenario != "sweep":
         raise UsageError("csv format is only available for sweep")
     if cfg.scenario == "sweep":
-        if cfg.sweep_scenario not in _SWEEPS:
+        if cfg.sweep_scenario is None:
             raise UsageError("sweep needs --scenario (single_pass, iterate or mixed)")
-        if cfg.axis not in _SWEEP_AXES:
+        if cfg.axis is None:
             raise UsageError("sweep needs --axis (a2, alpha2 or fidelity)")
         if cfg.sweep_from is None or cfg.sweep_to is None:
             raise UsageError("sweep needs --from and --to")
@@ -542,8 +535,7 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
     if cfg.scenario == "throughput":
         if cfg.alpha2 is not None:
             raise UsageError("throughput reads a matched product at a2; drop alpha2")
-        needed = ("p_cav", "detector_efficiency", "photon_rate", "protocol")
-        if cfg.preset is None and any(getattr(cfg, name) is None for name in needed):
+        if cfg.preset is None and any(getattr(cfg, name) is None for name in (*_OPERATING_POINT, "protocol")):
             raise UsageError(
                 "throughput needs --preset or config keys p_cav, detector_efficiency, "
                 "photon_rate and protocol"

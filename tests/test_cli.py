@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -181,6 +182,12 @@ class TestParseConfig:
                 {"alpha2": 0.3},
                 "throughput reads a matched product at a2; drop alpha2",
             ),
+            # the keys to drop are named in config key order, whatever order the config gives them in
+            (
+                ["throughput", "--preset", "paper-mixed"],
+                {"photon_rate": 1.0, "outcoupling": 0.5, "fidelity": 0.5, "a2": 0.9},
+                "--preset fixes the operating point and its source; drop a2, fidelity, outcoupling, photon_rate",
+            ),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -196,6 +203,17 @@ class TestParseConfig:
         assert code == 2
         assert out == ""
         assert err == f"error: {named}\n"
+
+    def test_defaults_and_preset_values_parse(self, tmp_path):
+        # only the keys a request sets are checked, so this is what holds the defaults and presets in range
+        defaults = {name: key.default for name, key in cli._CONFIG_KEYS.items() if key.default is not None}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(defaults))
+        assert parse_config(["iterate", "--config", str(path)]) == RunConfig("iterate", **defaults)
+        for preset, (point, _) in cli._PRESETS.items():
+            path.write_text(json.dumps(point))
+            cfg = parse_config(["throughput", "--preset", preset, "--config", str(path)])
+            assert {key: getattr(cfg, key) for key in point} == point, preset
 
     def test_missing_config_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
@@ -477,6 +495,23 @@ class TestThroughputReports:
         outcomes = ("p_entangled", "p_scattered", "p_stuck")
         assert sorted(sampled["results"]["analytic"]) == sorted(outcomes)
         assert bits(sampled["results"]["analytic"], outcomes) == bits(exact, outcomes)
+
+
+    @pytest.mark.parametrize("phased", [False, True], ids=["unphased", "phased"])
+    def test_product_success_is_the_iterate_figure(self, tmp_path, phased):
+        # a product throughput prices the ions it echoes, phases included, with the iterate report's bits
+        rng = random.Random(2027 + phased)
+        path = tmp_path / "run.json"
+        for a2 in [0.0, 5e-324, 1.0, *(rng.random() for _ in range(150))]:
+            ions = {"a2": a2}
+            if phased:
+                ions.update({name: rng.uniform(-3.0, 3.0) for name in cli._AMPLITUDES[2:]})
+            path.write_text(json.dumps(ions))
+            iterate = cli.build_report(parse_config(["iterate", "--config", str(path)]))["results"]["analytic"]
+            custom = {"p_cav": 0.02, "detector_efficiency": 0.5, "photon_rate": 1000.0, "protocol": "product"}
+            path.write_text(json.dumps({**custom, **ions}))
+            throughput = cli.build_report(parse_config(["throughput", "--config", str(path)]))["results"]
+            assert throughput["p_protocol"].hex() == iterate["p_entangled"].hex(), ions
 
 
 class TestSchema:

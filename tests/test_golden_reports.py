@@ -62,6 +62,8 @@ CASES = {
     "iterate_a2_0": (["iterate", "--a2", "0"], None),
     "iterate_a2_1": (["iterate", "--a2", "1"], None),
     "iterate_a2_1_alpha2_0": (["iterate", "--a2", "1", "--alpha2", "0"], None),
+    # the only report whose ions take from_unnormalized's 2**100 shift, below the normal range
+    "iterate_a2_5e-324": (["iterate", "--a2", "5e-324"], None),
     "mixed": (["mixed", "--fidelity", "0.7"], None),
     "mixed_fidelity_0": (["mixed", "--fidelity", "0"], None),
     "mixed_fidelity_0_table": (["mixed", "--fidelity", "0", "--format", "table"], None),
