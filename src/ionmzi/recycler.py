@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import cache
 from itertools import compress
 
 from .protocol import IonPairState, single_pass
@@ -150,19 +151,38 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # The Monte Carlo kernel packs a chunk of trials into one int, one 128-bit
 # lane per trial: a 64-bit counter in the low half, and room above it for
 # the counter's product with a 64-bit constant.  Both constants were chosen
-# by timing the monte-carlo benchmark's report sizes: chunks of 1024 to
-# 8192 lanes took the same time within 3%, and 2048 keeps a chunk's ints
-# near 32 kB; repacking below a half rather than a quarter of the lanes was
-# faster at a2 0.5 to 0.75, where about a quarter of the trials stay stuck.
+# by timing the monte-carlo benchmark's report sizes: with the lane constants
+# cached, chunks of 1024 to 8192 lanes took the same time within noise (9%),
+# and 2048 keeps a chunk's ints near 32 kB (8192 lanes raise the traced peak
+# of 200,000 trials from 0.36 to 1.17 MB); repacking below a half rather than
+# a quarter of the lanes was faster at a2 0.5 to 0.75, where about a quarter
+# of the trials stay stuck.
 _CHUNK = 2048
 #: A chunk repacks its recycling lanes once fewer than 1/_REPACK of its lanes recycle.
 _REPACK = 2
 _LANE = 128
 
 
-def _ones(lanes: int) -> int:
-    """1 in each of ``lanes`` lanes, so that ``v * _ones(lanes)`` holds v in every lane."""
-    return ((1 << _LANE * lanes) - 1) // ((1 << _LANE) - 1)
+@cache
+def _chunk_constants(lanes: int) -> tuple[int, int, int, int, int]:
+    """(ones, low, golden, flags, ramp): 1, _MASK, _GOLDEN, 2**64 and j in each lane j of ``lanes`` lanes.
+
+    Built by doubling, once per chunk size; a shorter chunk cuts its low lanes with ``_low_lanes``.
+    """
+    ones, ramp, width = 1, 0, 1
+    while width < lanes:
+        ramp |= ramp + width * ones << _LANE * width
+        ones |= ones << _LANE * width
+        width *= 2
+    if width > lanes:
+        ones, ramp = _low_lanes((ones, ramp), lanes)
+    return ones, ones * _MASK, _GOLDEN * ones, ones << 64, ramp
+
+
+def _low_lanes(values: tuple[int, ...], lanes: int) -> list[int]:
+    """The lowest ``lanes`` lanes of each of ``values``."""
+    cut = (1 << _LANE * lanes) - 1
+    return [value & cut for value in values]
 
 
 def _mix_lanes(z: int, low: int) -> int:
@@ -262,12 +282,10 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
     detections: dict[int, int] = {}
     seed_mix = _mix_lanes(seed & _MASK, _MASK)
+    full = _chunk_constants(_CHUNK)
     for start in range(0, trials, _CHUNK):
         lanes = min(_CHUNK, trials - start)
-        ones = _ones(lanes)
-        low, golden, flags = ones * _MASK, _GOLDEN * ones, ones << 64
-        # Lane j holds j: (2**128 - 1) * sum(j * 2**(128 j)) telescopes to the numerator.
-        ramp = ((lanes - 1 << _LANE * lanes) - ones + 1) // ((1 << _LANE) - 1)
+        ones, low, golden, flags, ramp = full if lanes == _CHUNK else _low_lanes(full, lanes)
         streams = _mix_lanes(_mix_lanes((start + 1) * ones + ramp & low, low) ^ seed_mix * ones, low)
         active, alive, rounds = flags, lanes, 0  # bit 64 of ``active`` marks each lane still recycling
         while alive:
@@ -302,8 +320,7 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
             alive = recycled
             if alive and alive * _REPACK < lanes:
                 streams, lanes = _repack(streams, active, lanes), alive
-                ones = _ones(lanes)
-                low, golden, flags = ones * _MASK, _GOLDEN * ones, ones << 64
+                ones, low, golden, flags = _low_lanes(full[:4], lanes)
                 active = flags
 
     inv = 1.0 / trials

@@ -314,6 +314,18 @@ def trial_stream_state(seed: int, trial: int) -> int:
     return _mix64(_mix64(seed & _MASK) ^ _mix64((trial + 1) & _MASK))
 
 
+def reference_lane_constants(lanes: int) -> tuple[int, int, int, int, int]:
+    """The Monte Carlo kernel's (ones, low, golden, flags, ramp) for ``lanes`` 128-bit lanes, by division.
+
+    ``ones`` holds 1 in each lane, as the geometric sum (2**(128 n) - 1) / (2**128 - 1);
+    ``ramp`` holds j in lane j, since (2**128 - 1) * sum(j * 2**(128 j)) telescopes to its numerator.
+    """
+    unit = (1 << 128) - 1
+    ones = ((1 << 128 * lanes) - 1) // unit
+    ramp = ((lanes - 1 << 128 * lanes) - ones + 1) // unit
+    return ones, ones * _MASK, _GOLDEN * ones, ones << 64, ramp
+
+
 def reference_monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MAX_PASSES) -> MonteCarloResult:
     """Sample the recycling loop outcome trial by trial.
 

@@ -7,7 +7,9 @@ below gave the same exit code, stdout and stderr on both.  The argvs are:
 * the request lists of seeds 1-10 of each benchmark workload and of its warm-up,
   from ``perfbench/workloads.py``;
 * the help pages of ``test_golden_reports``;
-* the config and argv fuzz cases of ``test_cli_fuzz``.
+* the config and argv fuzz cases of ``test_cli_fuzz``;
+* the configs of ``EXTRA_CONFIGS``: a product throughput with phases, and a
+  preset refusal that names several keys given out of order.
 
 Each runs in this process through ``cli.main``, with ``COLUMNS=80`` as the help
 goldens are rendered.  Config files go to a temporary directory, which is also
@@ -43,6 +45,14 @@ from ionmzi.cli import main  # noqa: E402
 
 SEEDS = range(1, 11)
 
+#: Config runs that no golden, workload or fuzz case makes: a phased product throughput prices the
+#: phases it echoes, and a preset refusal names the keys to drop in config key order.
+EXTRA_CONFIGS = [
+    (["throughput"], {"protocol": "product", "a2": 0.3, "phase_a": 0.5, "p_cav": 0.01,
+                      "detector_efficiency": 0.7, "photon_rate": 5000}),
+    (["throughput", "--preset", "paper-mixed"], {"photon_rate": 1.0, "outcoupling": 0.5, "fidelity": 0.5, "a2": 0.9}),
+]
+
 
 def _config_argv(argv: list, config: dict, path: pathlib.Path) -> list:
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -65,6 +75,8 @@ def argvs(workdir: pathlib.Path) -> list:
         runs.append(_config_argv([subcommand], config, workdir / f"fuzz-{index}.json"))
     rng = random.Random(fuzz.ARGV_SEED)
     runs += (fuzz._argv(rng) for _ in range(fuzz.ARGV_CASES))
+    for index, (argv, config) in enumerate(EXTRA_CONFIGS):
+        runs.append(_config_argv(argv, config, workdir / f"extra-{index}.json"))
     return runs
 
 

@@ -76,6 +76,8 @@ CASES = {
         ["monte-carlo", "--a2", "0.97", "--trials", "500", "--seed", "7", "--format", "table"], None),
     "monte_carlo_max_passes_3": (
         ["monte-carlo", "--a2", "0.03", "--trials", "500", "--seed", "7", "--max-passes", "3"], None),
+    # Two full chunks of 2048 trials and a partial third, each repacking as its lanes resolve.
+    "monte_carlo_a2_05_4099": (["monte-carlo", "--a2", "0.5", "--trials", "4099", "--seed", "11"], None),
     "throughput_paper_mixed": (["throughput", "--preset", "paper-mixed"], None),
     "throughput_paper_product": (["throughput", "--preset", "paper-product"], None),
     "throughput_paper_cavity": (["throughput", "--preset", "paper-cavity"], None),

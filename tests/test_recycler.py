@@ -29,6 +29,7 @@ from oracles import (
     random_ion_pair,
     random_product_amplitudes,
     reference_iterate_numeric,
+    reference_lane_constants,
     reference_monte_carlo,
     trial_stream_state,
 )
@@ -305,6 +306,21 @@ class TestPackedKernel:
         """Each a2 twice, each pass budget twice and each edge seed at least twice."""
         for trials in self.BORDER_TRIALS:
             self.assert_matches_reference(monkeypatch, balanced_product(a2), trials, seed, max_passes)
+
+    def test_lane_constants_do_not_depend_on_call_order(self, monkeypatch):
+        """The lane constants are built once per chunk size: 7 lanes between two runs at the module's size."""
+        default = recycler._CHUNK
+        for chunk in (default, 7, default):
+            monkeypatch.setattr(recycler, "_CHUNK", chunk)
+            for trials in (1, chunk + 1, 2 * chunk + 3):
+                self.assert_matches_reference(monkeypatch, balanced_product(0.5), trials, 2**40 + 3, 30)
+
+    @pytest.mark.parametrize("lanes", [1, 7, 2047, 2048])
+    def test_lane_constants(self, lanes):
+        """Built directly or cut from the module's chunk, the constants are those of the division formulas."""
+        expected = reference_lane_constants(lanes)
+        assert recycler._chunk_constants(lanes) == expected
+        assert tuple(recycler._low_lanes(recycler._chunk_constants(recycler._CHUNK), lanes)) == expected
 
     #: Peak traced allocation of the 200,000-trial run below, 0.42 MB when measured with chunks of
     #: 2048 lanes (2.4x under this budget); one int of 128-bit lanes for all trials is 3.2 MB, and
