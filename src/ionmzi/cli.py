@@ -142,7 +142,7 @@ def _record_fields(kind: type) -> tuple[tuple[str, str, int], ...]:
     return tuple(sorted((name, _key_text(name), index) for index, name in enumerate(kind._fields)))
 
 
-def _iteration(result: recycler.IterationResult) -> dict:
+def _iteration(result: recycler.IterationResult | recycler.MonteCarloResult) -> dict:
     return {**result._asdict(), "passes_distribution": list(result.passes_distribution.items())}
 
 
@@ -225,7 +225,7 @@ def _run_monte_carlo(cfg: RunConfig) -> dict:
     ions = _product_ions(cfg)
     sampled = recycler.monte_carlo(ions, cfg.trials, cfg.seed, cfg.max_passes)
     analytic = recycler.iterate_analytic(ions)
-    fields = {**sampled._asdict(), "passes_distribution": list(sampled.passes_distribution.items())}
+    fields = _iteration(sampled)
     del fields["counts"]
     return {**fields, "analytic": {name: getattr(analytic, name) for name in _OUTCOMES}}
 
@@ -322,36 +322,37 @@ _SCENARIOS = {
 
 
 _UNIT = (0, 1, "[0, 1]")
-#: One config key: its type as annotated (``float | None`` admits null), default, flag, ``--help`` text,
-#: choices and range.  ``within`` is ``(low, high, interval)``, with the interval named as written, or
-#: limits ``(low, high)``, where ``low`` 0 means nonnegative, 1 positive, and ``high`` is a cap or None.
+#: One config key: its type (``float``, ``int`` or ``str``), default, flag, ``--help`` text, choices and range.
+#: ``within`` is ``(low, high, interval)``, with the interval named as written, or limits ``(low, high)``, where
+#: ``low`` 0 means nonnegative, 1 positive, and ``high`` is a cap or None.
 _ConfigKey = namedtuple("_ConfigKey", "type default flag help choices within", defaults=(None,) * 5)
 #: Every config key once, in RunConfig's field order: ``build_parser`` reads its flag, ``RunConfig.from_dict``
-#: its type, ``_validate`` its choices and range.  ``scenario``, first, is the one key without a default.
+#: its type, ``_validate`` its choices and range.  ``scenario``, first, is the one key without a default.  A key
+#: admits null exactly when its default is None, so ``scenario`` never does.
 _CONFIG_KEYS = {
-    "scenario": _ConfigKey("str"),
-    "a2": _ConfigKey("float", 0.5, "--a2", "lower ion m+ population", within=_UNIT),
-    "alpha2": _ConfigKey("float | None", None, "--alpha2", "upper ion m+ population (defaults to --a2)", within=_UNIT),
-    "phase_alpha": _ConfigKey("float", 0.0, "--phase-alpha"),
-    "phase_beta": _ConfigKey("float", 0.0, "--phase-beta"),
-    "phase_a": _ConfigKey("float", 0.0, "--phase-a"),
-    "phase_b": _ConfigKey("float", 0.0, "--phase-b"),
-    "fidelity": _ConfigKey("float", 0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]")),
-    "trials": _ConfigKey("int", 100_000, "--trials", within=(1, 10_000_000)),
-    "seed": _ConfigKey("int", 0, "--seed", within=(0, 2**64 - 1)),
-    "max_passes": _ConfigKey("int", recycler.MAX_PASSES, "--max-passes", within=(1, 4096)),
-    "preset": _ConfigKey("str | None", None, "--preset", choices=_PRESETS),
-    "format": _ConfigKey("str", "json", "--format", choices=("json", "csv", "table")),
-    "axis": _ConfigKey("str | None", None, "--axis", choices=_SWEEP_AXES),
-    "sweep_from": _ConfigKey("float | None", None, "--from", within=_UNIT),
-    "sweep_to": _ConfigKey("float | None", None, "--to", within=_UNIT),
-    "points": _ConfigKey("int | None", None, "--points", within=(1, None)),
-    "sweep_scenario": _ConfigKey("str | None", None, "--scenario", choices=_SWEEPS),
-    "p_cav": _ConfigKey("float | None", within=_UNIT),
-    "detector_efficiency": _ConfigKey("float | None", within=_UNIT),
-    "outcoupling": _ConfigKey("float", 1.0, within=_UNIT),
-    "photon_rate": _ConfigKey("float | None", within=(0, None)),
-    "protocol": _ConfigKey("str | None", choices=_SOURCE_KEY),
+    "scenario": _ConfigKey(str),
+    "a2": _ConfigKey(float, 0.5, "--a2", "lower ion m+ population", within=_UNIT),
+    "alpha2": _ConfigKey(float, None, "--alpha2", "upper ion m+ population (defaults to --a2)", within=_UNIT),
+    "phase_alpha": _ConfigKey(float, 0.0, "--phase-alpha"),
+    "phase_beta": _ConfigKey(float, 0.0, "--phase-beta"),
+    "phase_a": _ConfigKey(float, 0.0, "--phase-a"),
+    "phase_b": _ConfigKey(float, 0.0, "--phase-b"),
+    "fidelity": _ConfigKey(float, 0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]")),
+    "trials": _ConfigKey(int, 100_000, "--trials", within=(1, 10_000_000)),
+    "seed": _ConfigKey(int, 0, "--seed", within=(0, 2**64 - 1)),
+    "max_passes": _ConfigKey(int, recycler.MAX_PASSES, "--max-passes", within=(1, 4096)),
+    "preset": _ConfigKey(str, None, "--preset", choices=_PRESETS),
+    "format": _ConfigKey(str, "json", "--format", choices=("json", "csv", "table")),
+    "axis": _ConfigKey(str, None, "--axis", choices=_SWEEP_AXES),
+    "sweep_from": _ConfigKey(float, None, "--from", within=_UNIT),
+    "sweep_to": _ConfigKey(float, None, "--to", within=_UNIT),
+    "points": _ConfigKey(int, None, "--points", within=(1, None)),
+    "sweep_scenario": _ConfigKey(str, None, "--scenario", choices=_SWEEPS),
+    "p_cav": _ConfigKey(float, within=_UNIT),
+    "detector_efficiency": _ConfigKey(float, within=_UNIT),
+    "outcoupling": _ConfigKey(float, 1.0, within=_UNIT),
+    "photon_rate": _ConfigKey(float, within=(0, None)),
+    "protocol": _ConfigKey(str, choices=_SOURCE_KEY),
 }
 
 
@@ -373,21 +374,20 @@ class RunConfig(namedtuple("RunConfig", _CONFIG_KEYS, defaults=[key.default for 
         for key, value in values.items():
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"unknown config key: {key}")
-            checked[key] = _typed(key, value, _CONFIG_KEYS[key].type)
+            checked[key] = _typed(key, value, _CONFIG_KEYS[key].type, cls._field_defaults.get(key, key) is None)
         if "scenario" not in checked:
             raise UsageError("config needs a scenario")
         return cls(**checked)
 
 
-def _typed(key: str, value, annotation: str):
-    """``value`` checked against a field annotation such as ``float | None``."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None and optional:
+def _typed(key: str, value, kind: type, nullable: bool):
+    """``value`` checked against a config key's type, and let through as None where the key is ``nullable``."""
+    if value is None and nullable:
         return None
     integral = isinstance(value, int) and not isinstance(value, bool)
-    if (kind == "str" and isinstance(value, str)) or (kind == "int" and integral):
+    if (kind is str and isinstance(value, str)) or (kind is int and integral):
         return value
-    if kind == "float" and (integral or isinstance(value, float)):
+    if kind is float and (integral or isinstance(value, float)):
         try:
             number = float(value)
         except OverflowError:
@@ -395,25 +395,21 @@ def _typed(key: str, value, annotation: str):
         if not math.isfinite(number):
             raise UsageError(f"{key} must be a finite number")
         return number
-    expected = {"str": "a string", "int": "an integer", "float": "a number"}[kind]
-    raise UsageError(f"{key} must be {expected}" + (" or null" if optional else ""))
-
-
-#: The flag value converters of the config key types; a ``str`` key's value is the flag's text.
-_KINDS = {"int": int, "float": float}
+    expected = {str: "a string", int: "an integer", float: "a number"}[kind]
+    raise UsageError(f"{key} must be {expected}" + (" or null" if nullable else ""))
 
 
 def _flag(key: str) -> tuple[str, tuple]:
     spec = _CONFIG_KEYS[key]
-    return spec.flag, (key, _KINDS.get(spec.type.partition(" | ")[0]), spec.choices, spec.help)
+    return spec.flag, (key, spec.type, spec.choices, spec.help)
 
 
-#: Subcommand as argparse spells it -> {flag: (config key, value converter or None, choices, ``--help`` text)},
+#: Subcommand as argparse spells it -> {flag: (config key, its type as the value converter, choices, ``--help`` text)},
 #: in ``--help`` order.  ``build_parser`` adds these flags, and ``_read_flags`` reads a plain argv by them.
 _FLAGS = {
     name.replace("_", "-"): {
         **dict(_flag(key) for key in (*keys, "format")),
-        "--config": ("config", None, None, "JSON file with config keys; flags override"),
+        "--config": ("config", str, None, "JSON file with config keys; flags override"),
     }
     for name, (_, _, keys) in _SCENARIOS.items()
 }
@@ -461,7 +457,7 @@ def _read_flags(argv: list[str]) -> dict | None:
             return None
         key, kind, choices, _ = flags[flag]
         try:
-            value = text if kind is None else kind(text)
+            value = kind(text)
         except ValueError:
             return None
         if choices is not None and value not in choices:

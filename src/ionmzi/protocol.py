@@ -377,11 +377,7 @@ def run_mixed(fidelity: float) -> MixedPassResult:
     return MixedPassResult(
         input_fidelity=fidelity,
         components=runs,
-        p_scatter_u=_pooled(passes, lambda r: r.p_scatter_u),
-        p_scatter_l=_pooled(passes, lambda r: r.p_scatter_l),
-        p_detect_upper=_pooled(passes, lambda r: r.p_detect_upper),
-        p_detect_lower=_pooled(passes, lambda r: r.p_detect_lower),
-        p_recycle=_pooled(passes, lambda r: r.p_recycle),
+        **{name: _pooled(passes, lambda r: getattr(r, name)) for name in PassResult._fields if name.startswith("p_")},
         post_detect_upper=conditioned(lambda r: r.p_detect_upper, lambda r: r.post_detect_upper),
         post_detect_lower=conditioned(lambda r: r.p_detect_lower, lambda r: r.post_detect_lower),
     )

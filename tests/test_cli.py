@@ -108,6 +108,23 @@ class TestParseConfig:
             RunConfig.from_dict({"scenario": "iterate", "warp": 1})
         with pytest.raises(UsageError, match="config needs a scenario"):  # the parser always sets it; a caller may not
             RunConfig.from_dict({"a2": 0.5})
+        with pytest.raises(UsageError, match="^scenario must be a string$"):  # the one key without a default
+            RunConfig.from_dict({"scenario": None})
+
+    @pytest.mark.parametrize("key", [key for key in cli._CONFIG_KEYS if key != "scenario"])
+    def test_a_key_admits_null_exactly_when_its_default_is_none(self, capsys, tmp_path, key):
+        nullable = RunConfig._field_defaults[key] is None
+        kind = cli._CONFIG_KEYS[key].type
+        expected = f"{key} must be " + {float: "a number", int: "an integer", str: "a string"}[kind]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: None}))
+        if nullable:
+            assert getattr(parse_config(["iterate", "--config", str(path)]), key) is None
+        else:
+            assert run_cli(capsys, "iterate", "--config", str(path)) == (2, "", f"error: {expected}\n")
+        path.write_text(json.dumps({key: [0]}))
+        refusal = f"error: {expected}{' or null' if nullable else ''}\n"
+        assert run_cli(capsys, "iterate", "--config", str(path)) == (2, "", refusal)
 
     @pytest.mark.parametrize(
         "argv, config, named",
@@ -538,8 +555,8 @@ class TestSchema:
         json_types = {"str": "string", "int": "integer", "float": "number"}
         expected = {}
         for name, key in cli._CONFIG_KEYS.items():
-            kind, _, optional = key.type.partition(" | ")
-            expected[name] = {"type": [json_types[kind], "null"] if optional else json_types[kind]}
+            kind = json_types[key.type.__name__]
+            expected[name] = {"type": [kind, "null"] if RunConfig._field_defaults.get(name, kind) is None else kind}
             if name == "format":
                 expected[name] = {"enum": list(key.choices)}
         assert list(config["properties"]) == list(expected)
@@ -607,8 +624,21 @@ def test_runtime_imports_only_the_standard_library():
 _HEAVY_MODULES = {"dataclasses", "inspect", "typing", "argparse", "gettext", "locale", "json"}
 
 
+#: One plain report argv of each scenario, by test id; the sweep is written as CSV.
+_COLD_REPORTS = {
+    "report": ["single-pass", "--a2", "0.5"],
+    "iterate": ["iterate", "--a2", "0.7"],
+    "mixed": ["mixed", "--fidelity", "0.7"],
+    "monte-carlo": ["monte-carlo", "--a2", "0.5", "--trials", "200", "--seed", "1"],
+    "throughput": ["throughput", "--preset", "paper-mixed"],
+    "sweep-csv": ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "3"],
+}
+
+
 @pytest.mark.parametrize(
-    "argv", [["-c", "import ionmzi.cli"], ["-m", "ionmzi", "single-pass", "--a2", "0.5"]], ids=["import", "report"]
+    "argv",
+    [["-c", "import ionmzi.cli"], *(["-m", "ionmzi", *argv] for argv in _COLD_REPORTS.values())],
+    ids=["import", *_COLD_REPORTS],
 )
 def test_cold_start_loads_no_heavy_module(argv):
     # -S skips site, whose .pth files may import typing first; -X importtime names every module the process imports
