@@ -267,10 +267,10 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     The trials run round by round, a chunk of them packed in one int.  This
     gives the counts of a loop over trials exactly: SplitMix64 is counter
     based, so trial i's k-th draw is the mix of ``s_i + k * _GOLDEN``, whatever
-    order the draws are made in; each test ``draw < t`` is the integer test
-    ``m < _threshold(t)`` on the 64-bit output m; and row k of the table is
-    read only once some trial reaches round k, so ``single_pass`` runs as
-    often as for the loop.
+    order the draws are made in, and a round that no draw can decide is not
+    drawn; each test ``draw < t`` is the integer test ``m < _threshold(t)`` on
+    the 64-bit output m; and row k of the table is read only once some trial
+    reaches round k, so ``single_pass`` runs as often as for the loop.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -287,7 +287,7 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
         lanes = min(_CHUNK, trials - start)
         ones, low, golden, flags, ramp = full if lanes == _CHUNK else _low_lanes(full, lanes)
         streams = _mix_lanes(_mix_lanes((start + 1) * ones + ramp & low, low) ^ seed_mix * ones, low)
-        active, alive, rounds = flags, lanes, 0  # bit 64 of ``active`` marks each lane still recycling
+        active, alive, rounds, drawn = flags, lanes, 0, 0  # bit 64 of ``active`` marks each lane still recycling
         while alive:
             if rounds == len(bounds):
                 row = next(rows, None)
@@ -299,7 +299,11 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
                     post = herald if post is None else post
             scatter_bound, detect_bound = bounds[rounds]
             rounds += 1
-            streams = streams + golden & low
+            if scatter_bound == detect_bound == 0:  # no draw can decide this round: every lane recycles
+                continue
+            # The streams are counters: one step passes the rounds skipped since round ``drawn``, multiplying only then.
+            streams = streams + (golden if rounds - drawn == 1 else (rounds - drawn) * golden) & low
+            drawn = rounds
             # Bit 64 of each lane of (draws - b * ones) is set where the output is at least b.
             draws = _mix_lanes(streams, low) | flags
             if scatter_bound is None:

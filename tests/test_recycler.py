@@ -8,6 +8,7 @@ from ionmzi import recycler
 from ionmzi.elements import MirrorId, mirror
 from ionmzi.protocol import (
     IonPairState,
+    PassResult,
     bell_phi_plus,
     bell_psi_minus,
     bell_psi_plus,
@@ -266,6 +267,7 @@ class TestPackedKernel:
         result = monte_carlo(ions, trials, seed, max_passes)
         assert repr(result) == repr(reference_monte_carlo(ions, trials, seed, max_passes))
         assert len(calls) == len(reference_calls), (trials, seed, max_passes)
+        return len(calls)
 
     @pytest.mark.parametrize("a2", [0.0, 0.03, 0.5, 0.97, 1.0])
     def test_small_chunks(self, monkeypatch, a2):
@@ -291,6 +293,55 @@ class TestPackedKernel:
                         self.assert_matches_reference(monkeypatch, balanced_product(a2), trials, seed, max_passes)
         # a2 0 and 1 resolve every lane of a chunk in the same round (all stuck, all scattered)
         assert bool(repacks) == (0.0 < a2 < 1.0)
+
+    @pytest.mark.parametrize("a2, max_passes, first_skipped", [(0.0, 5, 1), (0.0, 64, 1), (0.5, 64, 41)])
+    def test_rounds_that_decide_nothing(self, monkeypatch, a2, max_passes, first_skipped):
+        """Rounds whose bounds are both 0 draw nothing, yet every later draw and every table read is as before.
+
+        At ``a2`` 0 each round is such a round, so the table ends inside the skipped stretch; at 0.5 the
+        stretch starts once the prune has cut the recycled ``c_pm`` and ``c_mp``.  Each runs with the
+        module's chunks, and with chunks of 7 lanes repacked at the module's ratio and at 1, so that partial
+        chunks and repacked lanes cross the skipped rounds.
+        """
+        ions = balanced_product(a2)
+        decided = [scatter + detect > 0.0 for scatter, detect, *_ in recycler._rounds(ions, max_passes)]
+        assert decided.index(False) + 1 == first_skipped and not any(decided[first_skipped - 1 :])
+        self.assert_matches_reference(monkeypatch, ions, 1, 2**40 + 3, max_passes)
+        # with a trial stuck, the walk reads every row of the table, and one single_pass call per row
+        assert self.assert_matches_reference(monkeypatch, ions, recycler._CHUNK + 1, 0, max_passes) == max_passes
+        monkeypatch.setattr(recycler, "_CHUNK", 7)
+        for ratio in (recycler._REPACK, 1):
+            monkeypatch.setattr(recycler, "_REPACK", ratio)
+            for trials in (6, 17):
+                for seed in EDGE_SEEDS:
+                    self.assert_matches_reference(monkeypatch, ions, trials, seed, max_passes)
+
+    def test_draws_after_skipped_rounds(self, monkeypatch):
+        """In a scripted round table, rounds that decide nothing sit between rounds that do.
+
+        Walked from a real input, such rounds run on to the table's end, where the stuck fraction is 1 and
+        no draw is read; here it is 1/4, so each draw after a skipped stretch shows in the counts.
+        """
+        table = [(0.25, 0.25), (0.0, 0.0), (0.0, 0.0), (0.125, 0.5), (0.0, 0.0)]
+
+        def scripted():
+            rows = iter(table)
+
+            def scripted_single_pass(state, enclosed):
+                scatter, detect = next(rows)
+                return PassResult(scatter, 0.0, 0.0, detect, 1.0 - scatter - detect, None, state, state, None, None)
+
+            return scripted_single_pass
+
+        for chunk, ratio in ((recycler._CHUNK, recycler._REPACK), (7, recycler._REPACK), (7, 1)):
+            monkeypatch.setattr(recycler, "_CHUNK", chunk)
+            monkeypatch.setattr(recycler, "_REPACK", ratio)
+            for trials, seed in ((17, 0), (300, 2**64 - 1)):
+                monkeypatch.setattr(recycler, "single_pass", scripted())
+                result = monte_carlo(balanced_product(0.5), trials, seed, len(table))
+                monkeypatch.setattr(oracles, "single_pass", scripted())
+                assert repr(result) == repr(reference_monte_carlo(balanced_product(0.5), trials, seed, len(table)))
+                assert 0 < result.counts["stuck"] < result.counts["stuck"] + result.counts["truncated"]
 
     #: Trial counts at the borders of the module's own chunk size.
     BORDER_TRIALS = (1, recycler._CHUNK - 1, recycler._CHUNK, recycler._CHUNK + 1, 2 * recycler._CHUNK + 3)
