@@ -16,12 +16,12 @@ falls below ``TRUNCATION_EPSILON``.  The weight still recycling then splits
 into its stuck |m-,m-> fraction and the truncated remainder.
 
 ``monte_carlo`` samples the same loop with a SplitMix64 stream per trial
-(Steele, Lea & Flood, OOPSLA 2014), one lane of a packed int each.  It runs
-round by round over packed chunks of trials and still gives the counts of a
-loop over trials bit for bit: the generator is counter based, so a trial's
-k-th draw does not depend on the order of evaluation; every branch test
-``draw < t`` becomes an exact integer test on the 64-bit output; and the
-round table is read as lazily as before.
+(Steele, Lea & Flood, OOPSLA 2014), one lane of a packed int each.  Packed
+chunks of trials walk one shared table of the rounds that a draw can decide
+and still give a loop over trials' counts bit for bit: the generator is
+counter based, so a trial's k-th draw does not depend on the order of
+evaluation; every branch test ``draw < t`` becomes an exact integer test on
+the 64-bit output; and the round table is read as lazily as by that loop.
 """
 
 from __future__ import annotations
@@ -88,16 +88,17 @@ def iterate_analytic(ions: IonPairState) -> IterationResult:
 
 
 def _rounds(ions: IonPairState, max_passes: int) -> Iterator[tuple[float, float, float, IonPairState | None, float]]:
-    """Lazy round table: per round (scatter, detect, recycle, detected state, recycled |m-,m-> weight)."""
+    """Lazy round table: per round (scatter, detect, recycle, first heralded state so far, recycled |m-,m-> weight)."""
     if max_passes < 1:
         raise ValueError("max_passes must be at least 1")
-    state = ions
+    state, post = ions, None
     for _ in range(max_passes):
         result = single_pass(state, enclosed=True)
         state = result.post_recycle
+        post = result.post_detect_lower if post is None else post
         stuck = abs2(state.c_mm) if state is not None else 0.0
         scatter = result.p_scatter_u + result.p_scatter_l
-        yield scatter, result.p_detect_lower, result.p_recycle, result.post_detect_lower, stuck
+        yield scatter, result.p_detect_lower, result.p_recycle, post, stuck
         if state is None:
             return
 
@@ -115,15 +116,13 @@ def iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) -> Iterati
     weight = 1.0
     p_entangled = 0.0
     p_scattered = 0.0
-    post: IonPairState | None = None
     distribution: dict[int, float] = {}
-    for rounds, (scatter, detect, recycle, herald, stuck) in enumerate(_rounds(ions, max_passes), 1):
+    for rounds, (scatter, detect, recycle, post, stuck) in enumerate(_rounds(ions, max_passes), 1):
         detected = weight * detect
         if detected > 0.0:
             distribution[rounds] = detected
             p_entangled += detected
         p_scattered += weight * scatter
-        post = herald if post is None else post
         # With no state left the recycle mass is exactly 0.0, so the walk stops here.
         weight *= recycle
         if weight * (1.0 - stuck) < TRUNCATION_EPSILON:
@@ -221,6 +220,16 @@ def _repack(streams: int, active: int, lanes: int) -> int:
     return int.from_bytes(b"".join([packed[i : i + 16] for i in compress(range(0, 16 * lanes, 16), keep)]), "little")
 
 
+def _drawn_rounds(ions: IonPairState, max_passes: int) -> Iterator[tuple[int, int | None, int, IonPairState | None]]:
+    """The rounds of ``_rounds`` that some draw can decide (a bound above 0), lazily, as (round, scatter bound,
+    +detect bound, first herald so far); then (round, None, stuck bound, herald) one round past the last row."""
+    for rounds, (scatter, detect, _, post, stuck) in enumerate(_rounds(ions, max_passes), 1):
+        scatter_bound, detect_bound = _threshold(scatter), _threshold(scatter + detect)
+        if scatter_bound or detect_bound:
+            yield rounds, scatter_bound, detect_bound, post
+    yield rounds + 1, None, _threshold(stuck), post
+
+
 class MonteCarloResult(namedtuple(
     "MonteCarloResult", "trials seed counts frequencies standard_errors passes_distribution post_entangled"
 )):
@@ -264,21 +273,19 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     that differ by a multiple of 2**64 give the same counts; the CLI takes
     seeds from 0 to 2**64 - 1 only.
 
-    The trials run round by round, a chunk of them packed in one int.  This
-    gives the counts of a loop over trials exactly: SplitMix64 is counter
-    based, so trial i's k-th draw is the mix of ``s_i + k * _GOLDEN``, whatever
-    order the draws are made in, and a round that no draw can decide is not
-    drawn; each test ``draw < t`` is the integer test ``m < _threshold(t)`` on
-    the 64-bit output m; and row k of the table is read only once some trial
-    reaches round k, so ``single_pass`` runs as often as for the loop.
+    Chunks of trials, each packed in one int, walk one shared list of the rounds that draw
+    (``_drawn_rounds``), which gives the counts of a loop over trials exactly: SplitMix64 is
+    counter based, so trial i's k-th draw is the mix of ``s_i + k * _GOLDEN`` in any order of
+    draws, and the streams pass the rounds between two that draw in one step; each test
+    ``draw < t`` is the integer test ``m < _threshold(t)`` on the 64-bit output m; and row k of
+    the table is read only once some trial reaches round k, as by the loop over trials.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
 
-    # Per-round bounds (scatter, +detect) on the 64-bit output; past the table's end, (None, stuck).
-    rows = _rounds(ions, max_passes)
-    bounds: list[tuple[int | None, int]] = []
-    post: IonPairState | None = None
+    # The rounds that draw, read as far as the furthest chunk reaches and shared by every chunk.
+    entries = _drawn_rounds(ions, max_passes)
+    table: list[tuple[int, int | None, int, IonPairState | None]] = []
     counts = {"entangled": 0, "scattered": 0, "stuck": 0, "truncated": 0}
     detections: dict[int, int] = {}
     seed_mix = _mix_lanes(seed & _MASK, _MASK)
@@ -289,21 +296,13 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
         streams = _mix_lanes(_mix_lanes((start + 1) * ones + ramp & low, low) ^ seed_mix * ones, low)
         active, alive, rounds, drawn = flags, lanes, 0, 0  # bit 64 of ``active`` marks each lane still recycling
         while alive:
-            if rounds == len(bounds):
-                row = next(rows, None)
-                if row is None:
-                    bounds.append((None, _threshold(stuck)))
-                else:
-                    scatter, detect, _, herald, stuck = row
-                    bounds.append((_threshold(scatter), _threshold(scatter + detect)))
-                    post = herald if post is None else post
-            scatter_bound, detect_bound = bounds[rounds]
-            rounds += 1
-            if scatter_bound == detect_bound == 0:  # no draw can decide this round: every lane recycles
-                continue
-            # The streams are counters: one step passes the rounds skipped since round ``drawn``, multiplying only then.
-            streams = streams + (golden if rounds - drawn == 1 else (rounds - drawn) * golden) & low
-            drawn = rounds
+            if drawn == len(table):
+                table.append(next(entries))
+            at, scatter_bound, detect_bound, _ = table[drawn]
+            drawn += 1
+            # The streams are counters: one step passes the rounds skipped since round ``rounds``, multiplying only then.
+            streams = streams + (golden if at - rounds == 1 else (at - rounds) * golden) & low
+            rounds = at
             # Bit 64 of each lane of (draws - b * ones) is set where the output is at least b.
             draws = _mix_lanes(streams, low) | flags
             if scatter_bound is None:
@@ -340,5 +339,5 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
         frequencies=frequencies,
         standard_errors=standard_errors,
         passes_distribution=distribution,
-        post_entangled=post,
+        post_entangled=table[-1][3],
     )

@@ -92,28 +92,23 @@ class PhotonMode(namedtuple("PhotonMode", "kind port direction polarization scat
     """Where the single photonic excitation lives.
 
     Build instances through :meth:`propagating`, :meth:`scattered` or
-    :meth:`vacuum`; the constructor rejects field combinations that do not
-    belong to the chosen kind (vacuum carries nothing, a scattered photon
-    carries only its scatter site).
+    :meth:`vacuum`; the constructor accepts exactly the members of
+    ``MODES``, so it rejects a label that is not one of its enum's members
+    and field combinations that do not belong to the chosen kind (vacuum
+    carries nothing, a scattered photon carries only its scatter site).
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: ModeKind, port: Port | None = None, direction: Direction | None = None,
                 polarization: Polarization | None = None, scattered_at: IonId | None = None) -> "PhotonMode":
-        labels = (port, direction, polarization)
-        if kind is ModeKind.PROPAGATING:
-            valid = None not in labels and scattered_at is None
-        elif kind is ModeKind.SCATTERED:
-            valid = labels == (None, None, None) and scattered_at is not None
-        else:
-            valid = labels == (None, None, None) and scattered_at is None
-        if not valid:
+        mode = super().__new__(cls, kind, port, direction, polarization, scattered_at)
+        if mode not in MODES:
             raise ValueError(
-                f"invalid {kind.value} mode: propagating needs port, direction and polarization, "
+                f"invalid {getattr(kind, 'value', kind)} mode: propagating needs port, direction and polarization, "
                 "scattered only a scatter site, vacuum nothing"
             )
-        return super().__new__(cls, kind, port, direction, polarization, scattered_at)
+        return mode
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
@@ -137,12 +132,13 @@ class BasisState(namedtuple("BasisState", "photon ion_u ion_l")):
 
 
 #: Every photon mode in canonical order: propagating (port x direction x
-#: polarization), then scattered (by ion), then vacuum.
-MODES: tuple[PhotonMode, ...] = (
-    *(PhotonMode.propagating(port, d, pol) for port in Port for d in Direction for pol in Polarization),
-    *(PhotonMode.scattered(ion) for ion in IonId),
-    PhotonMode.vacuum(),
-)
+#: polarization), then scattered (by ion), then vacuum.  Built from the raw
+#: fields, since ``PhotonMode`` checks a mode against this table.
+MODES: tuple[PhotonMode, ...] = tuple(tuple.__new__(PhotonMode, fields) for fields in (
+    *((ModeKind.PROPAGATING, port, d, pol, None) for port in Port for d in Direction for pol in Polarization),
+    *((ModeKind.SCATTERED, None, None, None, ion) for ion in IonId),
+    (ModeKind.VACUUM, None, None, None, None),
+))
 #: The basis kets in index order, which is the canonical term order: by mode, then by
 #: the two ion levels in ``IonLevel`` declaration order.
 KETS = tuple(BasisState(mode, ion_u, ion_l) for mode in MODES for ion_u in IonLevel for ion_l in IonLevel)

@@ -288,6 +288,10 @@ class TestEntryAndPolarization:
         with pytest.raises(ValueError, match="mirror-side"):
             single_pass(bell_psi_plus(), entry=(Port.LOWER, Direction.BACKWARD))
 
+    def test_polarization_given_by_value_rejected(self):
+        with pytest.raises(ValueError, match="invalid propagating mode"):
+            single_pass(bell_psi_plus(), photon_pol="sigma_plus")
+
     def test_backward_entry_swaps_detector_port(self):
         ions = balanced_product(0.7)
         forward = single_pass(ions)

@@ -213,14 +213,22 @@ _MODE_MESSAGE = (
         (ModeKind.SCATTERED, {"port": Port.LOWER, "scattered_at": IonId.ION_L}),
         (ModeKind.VACUUM, {"scattered_at": IonId.ION_U}),
         (ModeKind.VACUUM, {"polarization": Polarization.SIGMA_MINUS}),
+        # labels given as their enum values, which no member equals
+        (ModeKind.PROPAGATING, {"port": "upper", "direction": Direction.FORWARD,
+                                "polarization": Polarization.SIGMA_PLUS}),
+        (ModeKind.PROPAGATING, {"port": Port.UPPER, "direction": Direction.FORWARD, "polarization": "sigma_plus"}),
+        (ModeKind.SCATTERED, {"scattered_at": "ion_u"}),
+        ("propagating", {"port": Port.UPPER, "direction": Direction.FORWARD, "polarization": Polarization.SIGMA_PLUS}),
+        ("x", {}),
     ],
     ids=["propagating-bare", "propagating-unpolarized", "propagating-scattered", "scattered-nowhere",
-         "scattered-on-port", "vacuum-scattered", "vacuum-polarized"],
+         "scattered-on-port", "vacuum-scattered", "vacuum-polarized", "string-port", "string-polarization",
+         "string-site", "string-kind", "unknown-kind"],
 )
 def test_photon_mode_rejects_foreign_fields(kind, labels):
     with pytest.raises(ValueError) as caught:
         PhotonMode(kind, **labels)
-    assert str(caught.value) == _MODE_MESSAGE.format(kind.value)
+    assert str(caught.value) == _MODE_MESSAGE.format(getattr(kind, "value", kind))
 
 
 def test_record_is_the_tuple_of_its_fields():

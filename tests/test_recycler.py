@@ -306,9 +306,13 @@ class TestPackedKernel:
         ions = balanced_product(a2)
         decided = [scatter + detect > 0.0 for scatter, detect, *_ in recycler._rounds(ions, max_passes)]
         assert decided.index(False) + 1 == first_skipped and not any(decided[first_skipped - 1 :])
+        drawn = [entry[0] for entry in recycler._drawn_rounds(ions, max_passes)]
+        assert drawn == [*range(1, first_skipped), max_passes + 1]
         self.assert_matches_reference(monkeypatch, ions, 1, 2**40 + 3, max_passes)
-        # with a trial stuck, the walk reads every row of the table, and one single_pass call per row
-        assert self.assert_matches_reference(monkeypatch, ions, recycler._CHUNK + 1, 0, max_passes) == max_passes
+        # with a trial stuck, the walk reads every row of the table, and one single_pass call per row, however
+        # many chunks share the table
+        for trials in (recycler._CHUNK + 1, 10 * recycler._CHUNK):
+            assert self.assert_matches_reference(monkeypatch, ions, trials, 0, max_passes) == max_passes
         monkeypatch.setattr(recycler, "_CHUNK", 7)
         for ratio in (recycler._REPACK, 1):
             monkeypatch.setattr(recycler, "_REPACK", ratio)
@@ -333,15 +337,25 @@ class TestPackedKernel:
 
             return scripted_single_pass
 
+        ions = balanced_product(0.5)
+        monkeypatch.setattr(recycler, "single_pass", scripted())
+        # rounds 1 and 4 draw, and the end comes at round 6; the stuck |c_mm|^2 is an ulp above 1/4
+        assert list(recycler._drawn_rounds(ions, len(table))) == [
+            (1, 2**62, 2**63, ions), (4, 2**61, 5 * 2**61, ions), (6, None, 2**62 + 2**11, ions)
+        ]
         for chunk, ratio in ((recycler._CHUNK, recycler._REPACK), (7, recycler._REPACK), (7, 1)):
             monkeypatch.setattr(recycler, "_CHUNK", chunk)
             monkeypatch.setattr(recycler, "_REPACK", ratio)
             for trials, seed in ((17, 0), (300, 2**64 - 1)):
                 monkeypatch.setattr(recycler, "single_pass", scripted())
-                result = monte_carlo(balanced_product(0.5), trials, seed, len(table))
+                result = monte_carlo(ions, trials, seed, len(table))
                 monkeypatch.setattr(oracles, "single_pass", scripted())
-                assert repr(result) == repr(reference_monte_carlo(balanced_product(0.5), trials, seed, len(table)))
+                assert repr(result) == repr(reference_monte_carlo(ions, trials, seed, len(table)))
                 assert 0 < result.counts["stuck"] < result.counts["stuck"] + result.counts["truncated"]
+
+    def test_stuck_input_draws_only_past_the_table(self):
+        """At ``a2`` 0 no round can decide a draw, so the table that draws holds only its end."""
+        assert list(recycler._drawn_rounds(balanced_product(0.0), 4096)) == [(4097, None, 2**64, None)]
 
     #: Trial counts at the borders of the module's own chunk size.
     BORDER_TRIALS = (1, recycler._CHUNK - 1, recycler._CHUNK, recycler._CHUNK + 1, 2 * recycler._CHUNK + 3)
