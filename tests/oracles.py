@@ -25,6 +25,10 @@ ran the schedule before ``single_pass`` was generated.  The reference keeps
 the input stage, pruned as ``PureState`` prunes, that the generated
 function leaves out.
 
+``unmix`` inverts the SplitMix64 output mix, so a test can choose a trial's
+draw and solve for the seed that gives it.  ``reference_repack`` packs the
+kept lanes of the Monte Carlo kernel one lane at a time.
+
 ``reference_dump_json`` is the report writer as it was before it wrote
 every piece into one list: an ``isinstance`` chain per value, one join per
 container, a record through its ``_asdict()``.  ``ionmzi.cli._dump_json``
@@ -301,12 +305,28 @@ def reference_iterate_numeric(ions: IonPairState, max_passes: int = MAX_PASSES) 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
+_MIX_MULTIPLIERS = (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53)
 
 
 def _mix64(z: int) -> int:
-    z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCD & _MASK
-    z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53 & _MASK
+    for multiplier in _MIX_MULTIPLIERS:
+        z = (z ^ (z >> 33)) * multiplier & _MASK
     return z ^ (z >> 33)
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    """The z below 2**64 with ``z ^ (z >> shift) == y``: each step fixes ``shift`` more of its top bits."""
+    z = y
+    for _ in range(63 // shift):
+        z = y ^ (z >> shift)
+    return z
+
+
+def unmix(m: int) -> int:
+    """The inverse of SplitMix64's output mix: ``unmix(_mix64(v)) == v`` for every v below 2**64."""
+    for multiplier in reversed(_MIX_MULTIPLIERS):
+        m = _unxorshift(m, 33) * pow(multiplier, -1, 1 << 64) & _MASK
+    return _unxorshift(m, 33)
 
 
 def trial_stream_state(seed: int, trial: int) -> int:
@@ -324,6 +344,12 @@ def reference_lane_constants(lanes: int) -> tuple[int, int, int, int, int]:
     ones = ((1 << 128 * lanes) - 1) // unit
     ramp = ((lanes - 1 << 128 * lanes) - ones + 1) // unit
     return ones, ones * _MASK, _GOLDEN * ones, ones << 64, ramp
+
+
+def reference_repack(streams: int, active: int, lanes: int) -> int:
+    """The 128-bit lanes of ``streams`` whose bit 64 is set in ``active``, in order from lane 0, one lane at a time."""
+    kept = [lane for lane in range(lanes) if active >> 128 * lane + 64 & 1]
+    return sum((streams >> 128 * lane & (1 << 128) - 1) << 128 * index for index, lane in enumerate(kept))
 
 
 def reference_monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MAX_PASSES) -> MonteCarloResult:

@@ -32,7 +32,9 @@ from oracles import (
     reference_iterate_numeric,
     reference_lane_constants,
     reference_monte_carlo,
+    reference_repack,
     trial_stream_state,
+    unmix,
 )
 
 
@@ -273,8 +275,9 @@ class TestPackedKernel:
     def test_small_chunks(self, monkeypatch, a2):
         """Chunks of 7 lanes: every trial count meets or crosses a chunk border.
 
-        Each case also runs with ``_REPACK`` 1, which repacks a chunk whenever
-        any of its lanes stops recycling, down to a single lane.
+        Each case also runs with ``_REPACK`` 1, which repacks a chunk once fewer
+        than all of its lanes recycle, that is whenever any lane stops, down to
+        a single lane.
         """
         monkeypatch.setattr(recycler, "_CHUNK", 7)
         repacks = []
@@ -352,6 +355,61 @@ class TestPackedKernel:
                 monkeypatch.setattr(oracles, "single_pass", scripted())
                 assert repr(result) == repr(reference_monte_carlo(ions, trials, seed, len(table)))
                 assert 0 < result.counts["stuck"] < result.counts["stuck"] + result.counts["truncated"]
+
+    def test_unmix_inverts_mix(self):
+        rng = np.random.default_rng(33)
+        for value in (0, 1, 2**31, 2**64 - 1, *map(int, rng.integers(0, 2**64, 100, dtype=np.uint64))):
+            assert unmix(recycler._mix_lanes(value, recycler._MASK)) == value
+
+    @pytest.mark.parametrize(
+        "draw, outcome",
+        [
+            (0, "scattered"), (2**24 - 1, "scattered"), (2**24, "entangled"), (2**25 - 1, "entangled"),
+            (2**25, None), (2**31 - 1, None), (2**31, None),
+        ],
+    )
+    def test_low_bound_rounds(self, monkeypatch, draw, outcome):
+        """In rounds of scatter and detect 2**-40 (bounds 2**24 and 2**25), one chosen trial draws ``draw`` in round 2.
+
+        A lane's x, its value before the last xorshift, falls below 2**31 once in 2**33 draws, so only the chosen
+        lane can take round 2 past the pre-test: below 2**31 its x equals its output, and the exact test scatters,
+        heralds or recycles it.  From 2**31 on, the pre-test recycles every lane.  The seed is solved for with
+        ``unmix``, for a trial in the first and in the second chunk of 7 lanes.
+        """
+        rows = 4
+
+        def scripted(state, enclosed):
+            return PassResult(2.0**-41, 2.0**-41, 0.0, 2.0**-40, 1.0 - 2.0**-39, None, state, state, None, None)
+
+        ions = balanced_product(0.5)
+        monkeypatch.setattr(recycler, "single_pass", scripted)
+        monkeypatch.setattr(oracles, "single_pass", scripted)
+        assert list(recycler._drawn_rounds(ions, rows))[0] == (1, 2**24, 2**25, ions)
+        for trial in (3, 12):
+            state = unmix(draw) - 2 * recycler._GOLDEN & recycler._MASK  # the trial's stream before its first draw
+            seed = unmix(unmix(state) ^ recycler._mix_lanes(trial + 1, recycler._MASK))
+            assert trial_stream_state(seed, trial) == state
+            for chunk, ratio in ((recycler._CHUNK, recycler._REPACK), (7, 1)):
+                monkeypatch.setattr(recycler, "_CHUNK", chunk)
+                monkeypatch.setattr(recycler, "_REPACK", ratio)
+                result = monte_carlo(ions, 17, seed, rows)
+                assert repr(result) == repr(reference_monte_carlo(ions, 17, seed, rows))
+                assert result.counts["scattered"] == (outcome == "scattered")
+                assert result.passes_distribution == ({2: 1 / 17} if outcome == "entangled" else {})
+
+    @pytest.mark.parametrize("lanes", [1, 7, 2047, 2048])
+    def test_repack(self, lanes):
+        """One live lane, all lanes but one, and seeded random masks, each packed as lane by lane."""
+        rng = np.random.default_rng(lanes)
+        streams = sum(int(v) << 128 * lane for lane, v in enumerate(rng.integers(0, 2**64, lanes, dtype=np.uint64)))
+        masks = [
+            *({lane} for lane in {0, lanes // 2, lanes - 1}),
+            *(set(range(lanes)) - {lane} for lane in {0, lanes // 2, lanes - 1}),
+            *({lane for lane in range(lanes) if rng.random() < p} for p in (0.1, 0.5, 0.9)),
+        ]
+        for live in masks:
+            active = sum(1 << 128 * lane + 64 for lane in live)
+            assert recycler._repack(streams, active, lanes) == reference_repack(streams, active, lanes)
 
     def test_stuck_input_draws_only_past_the_table(self):
         """At ``a2`` 0 no round can decide a draw, so the table that draws holds only its end."""

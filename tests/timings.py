@@ -12,7 +12,8 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
 * an in-process ``cli.main`` of the same argv (reading it, the report, its rendering), the median of
   2,000 runs, the kind of request that ``exact``'s ``latency_ms_p50`` times;
 * ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial: a small scatter-heavy
-  run, a large one that resolves mostly in round 1 (set-up heavy), and README's worst case
+  run, a large one that resolves mostly in round 1 (set-up heavy), the costliest request class of
+  the ``monte-carlo`` benchmark workload (its largest ``a2`` 0.25 report), and README's worst case
   (``a2`` 0 at the largest pass budget) scaled down to one chunk of trials and to ten.  The other
   nine chunks read no row of the round table, so the difference times the chunk loop alone;
 * ``cli.render`` of a pre-built single-pass and iterate report as JSON, the median of 2,000 calls
@@ -87,7 +88,10 @@ def main() -> None:
         in_process = timed(lambda: cli.main(REPORT), 2000)
     print(f"in-process single-pass report: median {in_process * 1e6:.1f} us of 2000 runs")
 
-    cases = ((0.5, 1000, MAX_PASSES), (0.97, 30000, MAX_PASSES), (0.0, 2048, 4096), (0.0, 20480, 4096))
+    cases = (
+        (0.5, 1000, MAX_PASSES), (0.97, 30000, MAX_PASSES), (0.25, 5400, MAX_PASSES), (0.0, 2048, 4096),
+        (0.0, 20480, 4096),
+    )
     for a2, trials, max_passes in cases:
         plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
         ions = IonPairState.product(plus, minus, plus, minus)
