@@ -154,10 +154,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # cached, chunks of 1024 to 8192 lanes took the same time within noise (9%),
 # and 2048 keeps a chunk's ints near 32 kB (8192 lanes raise the traced peak
 # of 200,000 trials from 0.36 to 1.17 MB).  With the detect bound tested
-# first and low bounds pre-tested, repacking once fewer than 1/2, 5/8, 3/4,
-# 7/8 or 15/16 of the lanes recycle took 0.907, 0.857, 0.840, 0.841 and 0.869
-# of the request time of a kernel with neither test that repacked below 1/2,
-# in one sitting.
+# first, repacking once fewer than 1/2, 5/8, 3/4, 7/8 or 15/16 of the lanes
+# recycle took 1.097, 1.019, 1.000, 1.001 and 1.016 of the time at 3/4 over
+# the benchmark's 30 requests of seeds 1 and 2 (sums of per-request minima of
+# 20 calls, the fractions alternated call by call, in one sitting).
 _CHUNK = 2048
 #: A chunk repacks its recycling lanes once fewer than this fraction of its lanes recycle; 1 repacks at any stop.
 _REPACK = 3 / 4
@@ -186,22 +186,18 @@ def _low_lanes(values: tuple[int, ...], lanes: int) -> list[int]:
     return [value & cut for value in values]
 
 
-def _premix(z: int, low: int) -> int:
-    """SplitMix64's output mix but its last xorshift, of each lane of ``z`` at once; ``low`` masks each lane's low half.
+def _mix_lanes(z: int, low: int) -> int:
+    """SplitMix64's output mix of each lane of ``z`` at once; ``low`` masks each lane's low half.
 
     Each lane holds a value below 2**64, so its product with a 64-bit
     constant stays in the lane; each shift moves bits of the lane above
     into bits 95-127, which the mask clears before they are multiplied.
+    ``_mix_lanes(v, _MASK)`` mixes one value v below 2**64.
     """
     z = (z ^ (z >> 33)) & low
     z = z * 0xFF51AFD7ED558CCD & low
     z = (z ^ (z >> 33)) & low
-    return z * 0xC4CEB9FE1A85EC53 & low
-
-
-def _mix_lanes(z: int, low: int) -> int:
-    """SplitMix64's whole output mix of every lane of ``z``: ``_mix_lanes(v, _MASK)`` mixes one value v below 2**64."""
-    z = _premix(z, low)
+    z = z * 0xC4CEB9FE1A85EC53 & low
     return (z ^ (z >> 33)) & low
 
 
@@ -283,10 +279,8 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
     (``_drawn_rounds``), which gives the counts of a loop over trials exactly: SplitMix64 is
     counter based, so trial i's k-th draw is the mix of ``s_i + k * _GOLDEN`` in any order of
     draws, and the streams pass the rounds between two that draw in one step; each test
-    ``draw < t`` is the integer test ``m < _threshold(t)`` on the 64-bit output m, and m shares
-    bits 31-63 with x, its value before the last xorshift ``m = x ^ (x >> 33)``, so a round whose
-    bounds are at most 2**31 recycles every lane whose x is at least 2**31; and row k of the
-    table is read only once some trial reaches round k, as by the loop over trials.
+    ``draw < t`` is the integer test ``m < _threshold(t)`` on the 64-bit output m; and row k of
+    the table is read only once some trial reaches round k, as by the loop over trials.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -311,13 +305,8 @@ def monte_carlo(ions: IonPairState, trials: int, seed: int, max_passes: int = MA
             # The streams are counters: one step passes the rounds skipped since round ``rounds``, multiplying only then.
             streams = streams + (golden if at - rounds == 1 else (at - rounds) * golden) & low
             rounds = at
-            # Bit 64 of each lane of (y | flags) - b * ones is set where that lane's y is at least b.  The output
-            # m = x ^ (x >> 33) keeps bits 31-63 of x, so under a bound of at most 2**31 only an x below 2**31 can
-            # resolve: where no lane has one, every lane recycles, and the round ends before the last xorshift.
-            x = _premix(streams, low)
-            if detect_bound <= 1 << 31 and scatter_bound is not None and (x | flags) - (ones << 31) & active == active:
-                continue
-            draws = (x ^ (x >> 33)) & low | flags
+            # Bit 64 of each lane of (draws - b * ones) is set where that lane's output is at least b.
+            draws = _mix_lanes(streams, low) | flags
             recycling = (draws - detect_bound * ones) & active
             if scatter_bound is None:
                 above = recycling.bit_count()

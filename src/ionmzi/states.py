@@ -154,7 +154,7 @@ class PureState:
     """Sparse complex-amplitude map over joint basis kets, in canonical form.
 
     The constructor merges duplicate keys, prunes amplitudes below
-    ``PRUNE_EPS``, rejects a NaN one (which fails that test too) and orders
+    ``PRUNE_EPS``, rejects any amplitude with a NaN part and orders
     the remaining terms by basis index, so two states built from the same
     amplitudes in any insertion order compare equal.  Terms are given either
     as ``BasisState`` keys or, through ``indexed``, as (basis index,
@@ -176,7 +176,7 @@ class PureState:
         for index, amp in indexed:
             merged[index] = merged.get(index, 0j) + _amplitude(amp)
         self._amps = {index: merged[index] for index in sorted(merged) if abs(merged[index]) >= PRUNE_EPS}
-        if len(self._amps) < len(merged) and any(amp != amp for amp in merged.values()):
+        if any(amp != amp for amp in merged.values()):
             raise ValueError("amplitude is not a number")
 
     def items(self) -> Iterator[tuple[BasisState, complex]]:

@@ -361,6 +361,18 @@ class TestPackedKernel:
         for value in (0, 1, 2**31, 2**64 - 1, *map(int, rng.integers(0, 2**64, 100, dtype=np.uint64))):
             assert unmix(recycler._mix_lanes(value, recycler._MASK)) == value
 
+    @pytest.mark.parametrize("lanes", [1, 7, 2047, 2048])
+    def test_mix_lanes(self, lanes):
+        """Each lane of a packed int mixes as one value does: 0 and 2**64 - 1 in the low lanes, then seeded values."""
+        rng = np.random.default_rng(lanes)
+        values = [0, 2**64 - 1, *map(int, rng.integers(0, 2**64, lanes, dtype=np.uint64))]
+        low = recycler._chunk_constants(lanes)[1]
+        for start in (0, 1, 2):
+            pack = values[start : start + lanes]
+            packed = sum(value << 128 * lane for lane, value in enumerate(pack))
+            mixed = sum(oracles._mix64(value) << 128 * lane for lane, value in enumerate(pack))
+            assert recycler._mix_lanes(packed, low) == mixed
+
     @pytest.mark.parametrize(
         "draw, outcome",
         [
@@ -371,10 +383,9 @@ class TestPackedKernel:
     def test_low_bound_rounds(self, monkeypatch, draw, outcome):
         """In rounds of scatter and detect 2**-40 (bounds 2**24 and 2**25), one chosen trial draws ``draw`` in round 2.
 
-        A lane's x, its value before the last xorshift, falls below 2**31 once in 2**33 draws, so only the chosen
-        lane can take round 2 past the pre-test: below 2**31 its x equals its output, and the exact test scatters,
-        heralds or recycles it.  From 2**31 on, the pre-test recycles every lane.  The seed is solved for with
-        ``unmix``, for a trial in the first and in the second chunk of 7 lanes.
+        Another lane's output falls below 2**25 once in 2**39 draws, so only the chosen lane can resolve round 2:
+        the exact integer test scatters it below 2**24, heralds it below 2**25 and recycles it from there on.  The
+        seed is solved for with ``unmix``, for a trial in the first and in the second chunk of 7 lanes.
         """
         rows = 4
 

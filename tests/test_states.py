@@ -128,7 +128,9 @@ class TestCanonicalForm:
         state = PureState([(KET_PM, 1.0), (KET_PM, -1.0), (KET_MP, 1.0)])
         assert len(state) == 1
 
-    @pytest.mark.parametrize("nan", [math.nan, complex(0.0, math.nan)])
+    @pytest.mark.parametrize(
+        "nan", [math.nan, complex(0.0, math.nan), complex(math.inf, math.nan), complex(math.nan, math.inf)]
+    )
     def test_nan_amplitude_rejected(self, nan):
         with pytest.raises(ValueError, match="not a number"):
             PureState(indexed=[(0, nan), (1, 1.0)])

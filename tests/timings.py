@@ -11,7 +11,8 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
   for ``cli-cold``'s ``latency_ms_p50``, the figure ROADMAP items 3 and 4 aim at;
 * an in-process ``cli.main`` of the same argv (reading it, the report, its rendering), the median of
   2,000 runs, the kind of request that ``exact``'s ``latency_ms_p50`` times;
-* ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial: a small scatter-heavy
+* ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial, each figure in a fresh
+  process of its own, so that no figure depends on what ran before it: a small scatter-heavy
   run, a large one that resolves mostly in round 1 (set-up heavy), the costliest request class of
   the ``monte-carlo`` benchmark workload (its largest ``a2`` 0.25 report), and README's worst case
   (``a2`` 0 at the largest pass budget) scaled down to one chunk of trials and to ten.  The other
@@ -21,8 +22,9 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
 * the line count of each ``src/ionmzi/*.py``, as ``wc -l`` gives it, and the total, the tracked
   measure of ROADMAP aim 2.
 
-It reads ``src`` of its own tree and writes nothing; its subprocesses take that ``src`` as
-``PYTHONPATH`` and inherit the rest of the environment, ``PYTHONDONTWRITEBYTECODE`` included.
+It reads ``src`` of its own tree and writes nothing: its subprocesses run with ``-B``, take that
+``src`` as ``PYTHONPATH`` (the ``monte_carlo`` ones also ``tests``, to import this script) and
+inherit the rest of the environment.
 It takes no flag and checks no figure against a bound:
 
     python tests/timings.py
@@ -63,6 +65,13 @@ def timed(call, runs: int, pick=statistics.median) -> float:
     return pick(times)
 
 
+def monte_carlo_median(a2: float, trials: int, max_passes: int) -> float:
+    """The median wall time of 20 ``monte_carlo`` calls at seed 1 on the balanced product of ``a2``, in seconds."""
+    plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
+    ions = IonPairState.product(plus, minus, plus, minus)
+    return timed(lambda: monte_carlo(ions, trials, 1, max_passes), 20)
+
+
 def main() -> None:
     # first, before any other call of this process
     print(f"first single_pass call: {timed(lambda: single_pass(bell_psi_plus()), 1) * 1e3:.2f} ms")
@@ -76,11 +85,11 @@ def main() -> None:
         print(f"{path}: {seconds * 1e3:.2f} ms")
     print(f"compile() of src/ionmzi/*.py, minimum of 20 runs per module: {total * 1e3:.2f} ms in all")
 
-    argv = [sys.executable, "-X", "importtime", "-c", "import ionmzi.cli"]
+    argv = [sys.executable, "-B", "-X", "importtime", "-c", "import ionmzi.cli"]
     importtime = subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True).stderr.splitlines()
     print(next(line for line in importtime if line.rsplit("|", 1)[-1].strip() == "ionmzi.cli"))
 
-    argv = [sys.executable, "-m", "ionmzi", *REPORT]
+    argv = [sys.executable, "-B", "-m", "ionmzi", *REPORT]
     cold = timed(lambda: subprocess.run(argv, env=ENV, check=True, stdout=subprocess.DEVNULL), 5)
     print(f"cold single-pass report: median {cold * 1e3:.1f} ms of 5 runs")
 
@@ -92,10 +101,11 @@ def main() -> None:
         (0.5, 1000, MAX_PASSES), (0.97, 30000, MAX_PASSES), (0.25, 5400, MAX_PASSES), (0.0, 2048, 4096),
         (0.0, 20480, 4096),
     )
+    env = {**ENV, "PYTHONPATH": os.pathsep.join([str(SRC), str(ROOT / "tests")])}
     for a2, trials, max_passes in cases:
-        plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
-        ions = IonPairState.product(plus, minus, plus, minus)
-        median = timed(lambda: monte_carlo(ions, trials, 1, max_passes), 20)
+        code = f"import timings; print(repr(timings.monte_carlo_median({a2!r}, {trials}, {max_passes})))"
+        argv = [sys.executable, "-B", "-c", code]
+        median = float(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
         budget = "" if max_passes == MAX_PASSES else f", {max_passes} passes"
         print(f"monte_carlo at a2 {a2}, {trials} trials{budget}: median {median * 1e3:.2f} ms of 20 calls,"
               f" {median / trials * 1e6:.3f} us per trial")
