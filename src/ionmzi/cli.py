@@ -339,7 +339,7 @@ _CONFIG_KEYS = {
     "phase_b": _ConfigKey(float, 0.0, "--phase-b"),
     "fidelity": _ConfigKey(float, 0.7, "--fidelity", "input overlap with |Psi+>", within=(0, 1, "[0,1]")),
     "trials": _ConfigKey(int, 100_000, "--trials", within=(1, 10_000_000)),
-    "seed": _ConfigKey(int, 0, "--seed", within=(0, 2**64 - 1)),
+    "seed": _ConfigKey(int, 0, "--seed", within=(0, recycler._MASK)),
     "max_passes": _ConfigKey(int, recycler.MAX_PASSES, "--max-passes", within=(1, 4096)),
     "preset": _ConfigKey(str, None, "--preset", choices=_PRESETS),
     "format": _ConfigKey(str, "json", "--format", choices=("json", "csv", "table")),
@@ -399,17 +399,12 @@ def _typed(key: str, value, kind: type, nullable: bool):
     raise UsageError(f"{key} must be {expected}" + (" or null" if nullable else ""))
 
 
-def _flag(key: str) -> tuple[str, tuple]:
-    spec = _CONFIG_KEYS[key]
-    return spec.flag, (key, spec.type, spec.choices, spec.help)
-
-
-#: Subcommand as argparse spells it -> {flag: (config key, its type as the value converter, choices, ``--help`` text)},
-#: in ``--help`` order.  ``build_parser`` adds these flags, and ``_read_flags`` reads a plain argv by them.
+#: The flag records: subcommand as argparse spells it -> {flag: (config key, its ``_CONFIG_KEYS`` record)}, in
+#: ``--help`` order.  ``build_parser`` adds these flags and ``_read_flags`` reads a plain argv by their records.
 _FLAGS = {
     name.replace("_", "-"): {
-        **dict(_flag(key) for key in (*keys, "format")),
-        "--config": ("config", str, None, "JSON file with config keys; flags override"),
+        **{_CONFIG_KEYS[key].flag: (key, _CONFIG_KEYS[key]) for key in (*keys, "format")},
+        "--config": ("config", _ConfigKey(str, help="JSON file with config keys; flags override")),
     }
     for name, (_, _, keys) in _SCENARIOS.items()
 }
@@ -429,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_line, _) in _SCENARIOS.items():
         subcommand = name.replace("_", "-")
         command = sub.add_parser(subcommand, help=help_line)
-        for flag, (key, kind, choices, help_text) in _FLAGS[subcommand].items():
-            command.add_argument(flag, dest=key, type=kind, choices=choices, help=help_text)
+        for flag, (key, spec) in _FLAGS[subcommand].items():
+            command.add_argument(flag, dest=key, type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
 
@@ -455,12 +450,12 @@ def _read_flags(argv: list[str]) -> dict | None:
     for flag, text in zip(argv[1::2], argv[2::2]):
         if flag not in flags or text.startswith("-") and not _negative_number(text):
             return None
-        key, kind, choices, _ = flags[flag]
+        key, spec = flags[flag]
         try:
-            value = kind(text)
+            value = spec.type(text)
         except ValueError:
             return None
-        if choices is not None and value not in choices:
+        if spec.choices is not None and value not in spec.choices:
             return None
         given[key] = value
     return given

@@ -150,7 +150,9 @@ def detect(state: PureState, port: Port) -> tuple[float, PureState]:
     """
     vacuum = PhotonMode.vacuum()
     picked = [(BasisState(vacuum, ket.ion_u, ket.ion_l), amp) for ket, amp in state.items() if ket.photon.port is port]
-    prob = sum(abs2(amp) for _, amp in picked)
+    prob = 0.0
+    for _, amp in picked:  # not builtin ``sum``, which compensates rounding from Python 3.12 on
+        prob += abs2(amp)
     if prob < 1e-12:
         raise ValueError("no support at detector")
     _, post = normalize(PureState(picked))

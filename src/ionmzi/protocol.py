@@ -19,8 +19,8 @@ entry it walks the input kets through the element tables (splitter, both ions, s
 and writes each step, with the branch readout, as one straight-line Python function that
 repeats the element maps' arithmetic in their order.  That function is checked against the
 composed element maps before it is cached, and is pinned against independent references in
-the test suite.  Its post states skip the public constructor's conversions, but keep its
-norm check.
+the test suite.  Its post states skip the public constructor's conversions, but pass the
+same norm check.
 
 States and results are immutable records: ``namedtuple`` subclasses, so each also equals,
 iterates and indexes as the plain tuple of its fields.
@@ -73,10 +73,7 @@ class IonPairState(namedtuple("IonPairState", "c_pp c_pm c_mp c_mm")):
     __slots__ = ()
 
     def __new__(cls, c_pp: complex = 0j, c_pm: complex = 0j, c_mp: complex = 0j, c_mm: complex = 0j) -> "IonPairState":
-        state = super().__new__(cls, _amplitude(c_pp), _amplitude(c_pm), _amplitude(c_mp), _amplitude(c_mm))
-        if not abs(state.norm_squared() - 1.0) <= NORM_TOL:
-            raise ValueError("ion-pair amplitudes must be normalized")
-        return state
+        return _post_state(_amplitude(c_pp), _amplitude(c_pm), _amplitude(c_mp), _amplitude(c_mm))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
@@ -108,9 +105,6 @@ class IonPairState(namedtuple("IonPairState", "c_pp c_pm c_mp c_mm")):
             c_mp=u_minus * l_plus,
             c_mm=u_minus * l_minus,
         )
-
-    def norm_squared(self) -> float:
-        return abs2(self.c_pp) + abs2(self.c_pm) + abs2(self.c_mp) + abs2(self.c_mm)
 
     def fidelity(self, target: "IonPairState") -> float:
         """|<target|self>|^2."""
@@ -297,9 +291,9 @@ def _kernel(photon_pol: Polarization, entry: Entry):
 
 
 def _post_state(c_pp: complex, c_pm: complex, c_mp: complex, c_mm: complex) -> IonPairState:
-    """An IonPairState from amplitudes that are already complex: the public constructor's norm check,
-    without its conversions."""
-    norm_squared = (  # IonPairState.norm_squared, with each abs2 written out
+    """An IonPairState from amplitudes that are already complex, through the one norm check for every
+    IonPairState: the public constructor converts its amplitudes and calls this."""
+    norm_squared = (  # the sum of the four abs2, each written out
         (c_pp.real * c_pp.real + c_pp.imag * c_pp.imag)
         + (c_pm.real * c_pm.real + c_pm.imag * c_pm.imag)
         + (c_mp.real * c_mp.real + c_mp.imag * c_mp.imag)

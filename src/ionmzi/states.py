@@ -146,19 +146,23 @@ _KET_INDEX = {ket: index for index, ket in enumerate(KETS)}
 
 
 def basis_index(basis: BasisState) -> int:
-    """Position of ``basis`` in ``KETS``."""
-    return _KET_INDEX[basis]
+    """Position of ``basis`` in ``KETS``; any other value raises ``ValueError``."""
+    index = _KET_INDEX.get(basis)
+    if index is None:
+        raise ValueError(f"not a basis ket: {basis!r}")
+    return index
 
 
 class PureState:
     """Sparse complex-amplitude map over joint basis kets, in canonical form.
 
-    The constructor merges duplicate keys, prunes amplitudes below
-    ``PRUNE_EPS``, rejects any amplitude with a NaN part and orders
-    the remaining terms by basis index, so two states built from the same
-    amplitudes in any insertion order compare equal.  Terms are given either
-    as ``BasisState`` keys or, through ``indexed``, as (basis index,
-    amplitude) pairs.  Instances are immutable values and safe to share.
+    The constructor merges duplicate keys, prunes amplitudes below ``PRUNE_EPS``,
+    rejects any amplitude with a NaN part and orders the remaining terms by basis
+    index, so two states built from the same amplitudes in any insertion order
+    compare equal.  Terms are given either as ``BasisState`` keys, each a member
+    of ``KETS``, or, through ``indexed``, as (basis index, amplitude) pairs, each
+    index an ``int`` in ``range(len(KETS))``; any other key or index raises
+    ``ValueError``.  Instances are immutable values and safe to share.
     """
 
     __slots__ = ("_amps",)
@@ -174,6 +178,8 @@ class PureState:
             indexed = ((basis_index(basis), amp) for basis, amp in items)
         merged: dict[int, complex] = {}
         for index, amp in indexed:
+            if type(index) is not int or not 0 <= index < len(KETS):
+                raise ValueError(f"basis index not in range(len(KETS)): {index!r}")
             merged[index] = merged.get(index, 0j) + _amplitude(amp)
         self._amps = {index: merged[index] for index in sorted(merged) if abs(merged[index]) >= PRUNE_EPS}
         if any(amp != amp for amp in merged.values()):
@@ -190,7 +196,10 @@ class PureState:
         return self._amps.get(basis_index(basis), 0j)
 
     def norm_squared(self) -> float:
-        return sum(abs2(amp) for amp in self._amps.values())
+        total = 0.0
+        for amp in self._amps.values():  # not builtin ``sum``, which compensates rounding from Python 3.12 on
+            total += abs2(amp)
+        return total
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())

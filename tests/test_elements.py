@@ -249,6 +249,19 @@ class TestDetect:
         prob, _ = detect(state, Port.UPPER)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
+    def test_probability_adds_in_plain_float_order(self):
+        # masses 0.5, 2**-54 and 2**-54 at the upper port, in ket order: each small mass ties at half an ulp of 0.5
+        # and rounds to even, so a plain sum stays at 0.5; the builtin ``sum`` of Python 3.12 and later gives
+        # 0.5 + 2**-53
+        state = PureState({
+            ket(mode(Port.UPPER), M_P, M_P): 0.5 + 0.5j,  # |0.5 + 0.5j|^2 is 0.5 exactly, unlike SQRT_HALF**2
+            ket(mode(Port.UPPER), M_P, M_M): 2.0 ** -27,
+            ket(mode(Port.UPPER), M_M, M_P): 2.0 ** -27,
+            ket(mode(Port.LOWER), M_M, M_M): 0.5 + 0.5j,
+        })
+        prob, _ = detect(state, Port.UPPER)
+        assert prob == 0.5
+
     def test_no_support_rejected(self):
         state = beam_splitter(
             beam_splitter(photon_only(mode(Port.LOWER)))

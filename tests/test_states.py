@@ -62,8 +62,25 @@ class TestBasisIndex:
             assert basis_index(basis) == index
             assert amp == 1.0
 
+    @pytest.mark.parametrize("index", [-1, 99, 1.5])
+    def test_index_outside_the_basis_rejected(self, index):
+        # -1 would alias KETS[-1], the vacuum (g, g) ket; 99 and 1.5 failed only later, in the element maps
+        with pytest.raises(ValueError, match="basis index not in range"):
+            PureState(indexed=[(index, 1.0)])
+
+    def test_ket_outside_the_basis_rejected(self):
+        stray = BasisState(VAC, "m_plus", IonLevel.M_MINUS)  # a level given by its value, not the IonLevel member
+        for call in (lambda: basis_index(stray), lambda: PureState({stray: 1.0}), lambda: psi_plus().amplitude(stray)):
+            with pytest.raises(ValueError, match="not a basis ket"):
+                call()
+
 
 class TestNormalize:
+    def test_norm_squared_adds_in_plain_float_order(self):
+        # each 1e-16 is below half an ulp of 1.0, so a plain sum stays at 1.0 on every Python; the builtin ``sum``
+        # of Python 3.12 and later compensates rounding and gives 1.0000000000000002
+        assert PureState(indexed=[(96, 1.0), (97, 1e-8), (98, 1e-8)]).norm_squared() == 1.0
+
     def test_scaling(self):
         norm, unit = normalize(PureState({KET_PM: 2.0}))
         assert norm == pytest.approx(2.0, abs=1e-15)

@@ -11,12 +11,14 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
   for ``cli-cold``'s ``latency_ms_p50``, the figure ROADMAP items 3 and 4 aim at;
 * an in-process ``cli.main`` of the same argv (reading it, the report, its rendering), the median of
   2,000 runs, the kind of request that ``exact``'s ``latency_ms_p50`` times;
-* ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial, each figure in a fresh
+* ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial, each case in a fresh
   process of its own, so that no figure depends on what ran before it: a small scatter-heavy
   run, a large one that resolves mostly in round 1 (set-up heavy), the costliest request class of
   the ``monte-carlo`` benchmark workload (its largest ``a2`` 0.25 report), and README's worst case
   (``a2`` 0 at the largest pass budget) scaled down to one chunk of trials and to ten.  The other
-  nine chunks read no row of the round table, so the difference times the chunk loop alone;
+  nine chunks read no row of the round table, so the difference times the chunk loop alone; the
+  two scaled-down figures share one process, their calls alternated one by one, since across
+  separate processes their spread is wider than that difference;
 * ``cli.render`` of a pre-built single-pass and iterate report as JSON, the median of 2,000 calls
   each, the renderer's share of the in-process figure;
 * the line count of each ``src/ionmzi/*.py``, as ``wc -l`` gives it, and the total, the tracked
@@ -65,11 +67,16 @@ def timed(call, runs: int, pick=statistics.median) -> float:
     return pick(times)
 
 
-def monte_carlo_median(a2: float, trials: int, max_passes: int) -> float:
-    """The median wall time of 20 ``monte_carlo`` calls at seed 1 on the balanced product of ``a2``, in seconds."""
+def monte_carlo_medians(a2: float, trial_counts: tuple[int, ...], max_passes: int) -> list[float]:
+    """For each of ``trial_counts``, the median wall time of 20 ``monte_carlo`` calls at seed 1 on the balanced
+    product of ``a2``, in seconds.  The counts take turns call by call, in reverse order every second turn."""
     plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
     ions = IonPairState.product(plus, minus, plus, minus)
-    return timed(lambda: monte_carlo(ions, trials, 1, max_passes), 20)
+    times = {trials: [] for trials in trial_counts}
+    for turn in range(20):
+        for trials in trial_counts if turn % 2 == 0 else reversed(trial_counts):
+            times[trials].append(timed(lambda: monte_carlo(ions, trials, 1, max_passes), 1))
+    return [statistics.median(times[trials]) for trials in trial_counts]
 
 
 def main() -> None:
@@ -97,18 +104,17 @@ def main() -> None:
         in_process = timed(lambda: cli.main(REPORT), 2000)
     print(f"in-process single-pass report: median {in_process * 1e6:.1f} us of 2000 runs")
 
-    cases = (
-        (0.5, 1000, MAX_PASSES), (0.97, 30000, MAX_PASSES), (0.25, 5400, MAX_PASSES), (0.0, 2048, 4096),
-        (0.0, 20480, 4096),
-    )
+    cases = ((0.5, (1000,), MAX_PASSES), (0.97, (30000,), MAX_PASSES), (0.25, (5400,), MAX_PASSES),
+             (0.0, (2048, 20480), 4096))
     env = {**ENV, "PYTHONPATH": os.pathsep.join([str(SRC), str(ROOT / "tests")])}
-    for a2, trials, max_passes in cases:
-        code = f"import timings; print(repr(timings.monte_carlo_median({a2!r}, {trials}, {max_passes})))"
+    for a2, trial_counts, max_passes in cases:
+        code = f"import timings; print(*timings.monte_carlo_medians({a2!r}, {trial_counts!r}, {max_passes}))"
         argv = [sys.executable, "-B", "-c", code]
-        median = float(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+        medians = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.split()
         budget = "" if max_passes == MAX_PASSES else f", {max_passes} passes"
-        print(f"monte_carlo at a2 {a2}, {trials} trials{budget}: median {median * 1e3:.2f} ms of 20 calls,"
-              f" {median / trials * 1e6:.3f} us per trial")
+        for trials, median in zip(trial_counts, map(float, medians)):
+            print(f"monte_carlo at a2 {a2}, {trials} trials{budget}: median {median * 1e3:.2f} ms of 20 calls,"
+                  f" {median / trials * 1e6:.3f} us per trial")
 
     for argv in (REPORT, ["iterate", "--a2", "0.5"]):
         report = cli.build_report(cli.parse_config(argv))
