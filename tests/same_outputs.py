@@ -22,6 +22,17 @@ It prints the number of runs and the hash.  Where a change adds a golden or
 a fuzz case, put the change's ``tests/`` in both trees, so that both hash the
 same argvs.  The name does not start with ``test_``, so pytest does not
 collect it.
+
+The same answers also make a manifest, one line per argv in ``argvs()``
+order: its index, its class, its exit code, and the first 12 hex digits of
+the sha256 of its stdout and of its stderr.  The classes are ``report``
+(exit 0), ``refusal`` (exit 2 with ``error:``), ``argparse`` (exit 2 with
+``usage:``) and ``failure`` (exit 1).  The manifest is committed as
+``tests/golden/same_outputs.txt``; a change that means to move an answer
+rewrites it, and the diff names each moved line:
+
+    python tests/same_outputs.py --manifest   # write it, and print the hash line
+    python tests/same_outputs.py --check      # name each argv whose line differs; exit 1 if any does
 """
 
 import contextlib
@@ -44,6 +55,7 @@ import workloads  # noqa: E402
 from ionmzi.cli import main  # noqa: E402
 
 SEEDS = range(1, 11)
+MANIFEST = ROOT / "tests" / "golden" / "same_outputs.txt"
 
 #: Config runs that no golden, workload or fuzz case makes: a phased product throughput prices the
 #: phases it echoes, and a preset refusal names the keys to drop in config key order.
@@ -91,24 +103,61 @@ def answer(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def same_outputs_hash() -> tuple:
-    """(number of runs, sha256 hex digest) over every argv and its answer."""
+def records() -> list:
+    """The JSON text of [argv, exit code, stdout, stderr] of every run, with the temporary directory read as ``<tmp>``."""
     os.environ["COLUMNS"] = "80"
-    digest = hashlib.sha256()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as name:
         workdir = pathlib.Path(name)
         os.chdir(workdir)  # a relative config path in a fuzz argv resolves in the temporary directory
         try:
-            runs = argvs(workdir)
-            for argv in runs:
-                record = json.dumps([argv, *answer(argv)]).replace(str(workdir), "<tmp>")
-                digest.update(record.encode("utf-8") + b"\n")
+            return [json.dumps([argv, *answer(argv)]).replace(str(workdir), "<tmp>") for argv in argvs(workdir)]
         finally:
             os.chdir(home)
-    return len(runs), digest.hexdigest()
+
+
+def same_outputs_hash(texts: list) -> str:
+    """The sha256 hex digest over every record's text, one a line."""
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+def manifest_line(index: int, text: str) -> str:
+    """One record's manifest line: index, class, exit code, stdout digest, stderr digest."""
+    _, code, out, err = json.loads(text)
+    kind = {0: "report", 1: "failure"}.get(code) or {"error:": "refusal", "usage:": "argparse"}[err[:6]]
+    return f"{index} {kind} {code} {_digest(out)} {_digest(err)}"
+
+
+def check(texts: list) -> int:
+    """Print each argv whose manifest line differs from the committed one; 1 if any does, else 0."""
+    committed = MANIFEST.read_text(encoding="utf-8").splitlines()
+    lines = [manifest_line(index, text) for index, text in enumerate(texts)]
+    differ = 0
+    for index in range(max(len(lines), len(committed))):
+        now, was = (side[index] if index < len(side) else "(none)" for side in (lines, committed))
+        if now != was:
+            argv = json.loads(texts[index])[0] if index < len(texts) else None
+            print(f"argv {index} {json.dumps(argv)}: committed {was!r}, now {now!r}")
+            differ += 1
+    print(f"{differ} of {len(lines)} manifest lines differ from {MANIFEST.relative_to(ROOT)}")
+    return int(differ > 0)
 
 
 if __name__ == "__main__":
-    count, hexdigest = same_outputs_hash()
-    print(f"{count} runs, sha256 {hexdigest}")
+    mode = sys.argv[1:]
+    if mode not in ([], ["--manifest"], ["--check"]):
+        raise SystemExit("usage: python tests/same_outputs.py [--manifest | --check]")
+    texts = records()
+    print(f"{len(texts)} runs, sha256 {same_outputs_hash(texts)}")
+    if mode == ["--manifest"]:
+        MANIFEST.write_text("".join(manifest_line(index, text) + "\n" for index, text in enumerate(texts)),
+                            encoding="utf-8")
+    elif mode == ["--check"]:
+        sys.exit(check(texts))

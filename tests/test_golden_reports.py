@@ -134,8 +134,9 @@ def test_help_matches_golden(page, monkeypatch):
 
 
 def test_golden_files_are_exactly_the_cases_and_help_pages():
-    """Every golden is read by a case or a help page, so a renamed or dropped one leaves no orphan."""
-    expected = {f"{case}.out" for case in CASES} | {f"help_{page}.out" for page in HELP_PAGES}
+    """Every golden is read by a case or a help page, so a renamed or dropped one leaves no orphan.  The one other
+    file is ``tests/same_outputs.py``'s manifest."""
+    expected = {f"{case}.out" for case in CASES} | {f"help_{page}.out" for page in HELP_PAGES} | {"same_outputs.txt"}
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
