@@ -1,4 +1,6 @@
+import sys
+
 from .cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

@@ -11,9 +11,7 @@ zero.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
-import io
 import math
 import os
 import sys
@@ -65,6 +63,10 @@ _OUTCOMES = ("p_entangled", "p_scattered", "p_stuck")
 
 class UsageError(Exception):
     """Invalid flags or config file; maps to exit code 2."""
+
+
+class HelpRequest(Exception):
+    """A help flag, read before any refusal: its one argument is the page, which ``main`` writes as a report."""
 
 
 # --- report serialization ---------------------------------------------------
@@ -322,11 +324,12 @@ _SCENARIOS = {
 
 
 _UNIT = (0, 1, "[0, 1]")
+_KINDS = {str: "a string", int: "an integer", float: "a number"}
 #: One config key: its type (``float``, ``int`` or ``str``), default, flag, ``--help`` text, choices and range.
 #: ``within`` is ``(low, high, interval)``, with the interval named as written, or limits ``(low, high)``, where
 #: ``low`` 0 means nonnegative, 1 positive, and ``high`` is a cap or None.
 _ConfigKey = namedtuple("_ConfigKey", "type default flag help choices within", defaults=(None,) * 5)
-#: Every config key once, in RunConfig's field order: ``build_parser`` reads its flag, ``RunConfig.from_dict``
+#: Every config key once, in RunConfig's field order: ``_read_flags`` reads its flag, ``RunConfig.from_dict``
 #: its type, ``_validate`` its choices and range.  ``scenario``, first, is the one key without a default.  A key
 #: admits null exactly when its default is None, so ``scenario`` never does.
 _CONFIG_KEYS = {
@@ -395,12 +398,15 @@ def _typed(key: str, value, kind: type, nullable: bool):
         if not math.isfinite(number):
             raise UsageError(f"{key} must be a finite number")
         return number
-    expected = {str: "a string", int: "an integer", float: "a number"}[kind]
-    raise UsageError(f"{key} must be {expected}" + (" or null" if nullable else ""))
+    raise UsageError(f"{key} must be {_KINDS[kind]}" + (" or null" if nullable else ""))
 
 
-#: The flag records: subcommand as argparse spells it -> {flag: (config key, its ``_CONFIG_KEYS`` record)}, in
-#: ``--help`` order.  ``build_parser`` adds these flags and ``_read_flags`` reads a plain argv by their records.
+def _one_of(names) -> str:
+    *others, last = names
+    return f"{', '.join(others)} or {last}"
+
+
+#: Subcommand -> {flag: (config key, its ``_CONFIG_KEYS`` record)} in ``--help`` order; ``--config`` has its own record.
 _FLAGS = {
     name.replace("_", "-"): {
         **{_CONFIG_KEYS[key].flag: (key, _CONFIG_KEYS[key]) for key in (*keys, "format")},
@@ -408,56 +414,102 @@ _FLAGS = {
     }
     for name, (_, _, keys) in _SCENARIOS.items()
 }
+_HELP = dict.fromkeys(("-h", "--help"))
+_DESCRIPTION = "Simulate post-selected two-ion entanglement generation in a single-photon Mach-Zehnder interferometer."
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; parsing leaves it unchanged."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog=TOOL_NAME,
-        description="Simulate post-selected two-ion entanglement generation in a "
-        "single-photon Mach-Zehnder interferometer.",
-    )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name, (_, help_line, _) in _SCENARIOS.items():
-        subcommand = name.replace("_", "-")
-        command = sub.add_parser(subcommand, help=help_line)
-        for flag, (key, spec) in _FLAGS[subcommand].items():
-            command.add_argument(flag, dest=key, type=spec.type, choices=spec.choices, help=spec.help)
-    return parser
+def _wrap(words: list[str], lead: str, indent: str) -> list[str]:
+    """``words`` in lines at most 78 wide, the first line after ``lead`` and the others after ``indent``."""
+    lines = [lead + words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
 
 
-def _negative_number(text: str) -> bool:
-    """Whether ``text`` is ``-\\d+`` or ``-\\d*\\.\\d+`` in ASCII digits: argparse takes these as values."""
-    whole, dot, fraction = text[1:].partition(".")
-    return text.isascii() and (whole.isdigit() or not whole and dot) and (fraction.isdigit() or not dot)
+def _help_page(subcommand: str | None) -> str:
+    """The ``--help`` page of ``subcommand``, or of the program for None, 80 columns wide; an entry's text starts at
+    column 24."""
+    prog = f"{TOOL_NAME} {subcommand}" if subcommand else TOOL_NAME
+    indent = " " * len(f"usage: {prog} ")
+    rows = [(f"{flag} {'{' + ','.join(spec.choices) + '}' if spec.choices else key.upper()}", spec.help)
+            for flag, (key, spec) in _FLAGS.get(subcommand, {}).items()]
+    lines = _wrap([prog, "[-h]", *(f"[{invocation}]" for invocation, _ in rows)], "usage: ", indent)
+    if subcommand is None:
+        names = "{" + ",".join(_FLAGS) + "}"
+        lines += [*_wrap([names, "..."], indent, indent), "", *_wrap(_DESCRIPTION.split(), "", ""), "",
+                  "positional arguments:", f"  {names}",
+                  *(f"    {name:<18}  {help_line}" for name, (_, help_line, _) in zip(_FLAGS, _SCENARIOS.values()))]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    return "\n".join([*lines, "", "options:", *(f"  {flag:<20}  {text or ''}".rstrip() for flag, text in rows)]) + "\n"
 
 
-def _read_flags(argv: list[str]) -> dict | None:
-    """The non-None entries of argparse's namespace for a plain ``<subcommand> --flag value ...`` argv, or None.
+def _token(text: str, names: dict) -> tuple[str | None, str | None]:
+    """(flag, the value after its ``=`` or None) of ``text`` among ``names``; the flag is None for a value and ``text``
+    for an unknown flag.  A ``--`` flag may be abbreviated unless ambiguously, and ``-hx`` is ``-h`` with value ``x``.
+    A value lacks a leading ``-``, is ``-`` alone, holds a space, or is a negative number in decimal digits."""
+    name, equals, value = text.partition("=")
+    if name in names:  # in full, with or without "=value": no flag holds "="
+        return name, value if equals else None
+    if len(text) < 2 or text[0] != "-":
+        return None, None
+    if text[1] == "-":
+        matches = [flag for flag in names if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"{name} is ambiguous: it could be {_one_of(matches)}")
+        if matches:
+            return matches[0], value if equals else None
+    elif text.startswith("-h"):
+        return "-h", text[2:]
+    whole, dot, fraction = text[1:].removesuffix("\n").partition(".")  # -\d+ or -\d*\.\d+ as re reads them
+    if (fraction if dot else whole).isdecimal() and (not whole or whole.isdecimal()) or " " in text:
+        return None, None
+    return text, None
 
-    Each flag must be one of the subcommand's, spelled in full; each value is converted, and its choices checked,
-    as ``build_parser`` does.  Any other argv gives None: a help request, an abbreviated flag, ``--flag=value``, a
-    value that fails, or one starting with ``-`` that is not a ``_negative_number``.  argparse parses those, so it
-    stays the only source of help pages and of its errors.
-    """
-    flags = _FLAGS.get(argv[0]) if len(argv) % 2 else None
-    if flags is None:
-        return None
-    given = {"scenario": argv[0]}
-    for flag, text in zip(argv[1::2], argv[2::2]):
-        if flag not in flags or text.startswith("-") and not _negative_number(text):
-            return None
-        key, spec = flags[flag]
-        try:
-            value = spec.type(text)
-        except ValueError:
-            return None
-        if spec.choices is not None and value not in spec.choices:
-            return None
-        given[key] = value
+
+def _help(flag: str | None, value: str | None, subcommand: str | None) -> None:
+    """For a help flag, raise its page, or refuse it a value; ``-hh...`` reads as ``-h`` again."""
+    if flag in _HELP:
+        page = value is None or flag == "-h" and value and not value.strip("h")
+        raise HelpRequest(_help_page(subcommand)) if page else UsageError(f"{flag} takes no value, not {value!r}")
+
+
+def _read_flags(argv: list[str]) -> dict:
+    """The config keys that ``argv`` sets, with ``scenario``, by the rules of Python 3.11's standard parser.  Reading
+    stops at ``--``.  Before the subcommand, the first value, only help is read.  Every later token is resolved, then
+    read in turn: a missing value, wrong type or choice is refused there; unknown flags and stray tokens at the end."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    start = next((index for index, text in enumerate(argv[:end]) if _token(text, _HELP)[0] is None), end)
+    for text in argv[:start]:
+        _help(*_token(text, _HELP), None)
+    if start == end:
+        raise UsageError(f"a subcommand is needed: {_one_of(_FLAGS)}")
+    subcommand, stray, given = argv[start], argv[:start], {"scenario": argv[start].replace("-", "_")}
+    if subcommand not in _FLAGS:
+        raise UsageError(f"the subcommand must be {_one_of(_FLAGS)}, not {subcommand!r}")
+    flags, names, rest = _FLAGS[subcommand], {**_HELP, **_FLAGS[subcommand]}, argv[start + 1:end]
+    tokens = zip(rest, [_token(text, names) for text in rest])  # every token resolved before any is read
+    for text, (flag, value) in tokens:
+        if flag in _HELP:
+            _help(flag, value, subcommand)
+        elif flag not in flags:
+            stray.append(text)
+        else:
+            if value is None:  # the next token, if it is a value
+                value, (after, _) = next(tokens, (None, ("", None)))
+                if after is not None:
+                    raise UsageError(f"{flag} needs a value")
+            key, spec = flags[flag]
+            try:
+                given[key] = spec.type(value)
+            except ValueError:
+                raise UsageError(f"{flag} must be {_KINDS[spec.type]}, not {value!r}") from None
+            if spec.choices is not None and given[key] not in spec.choices:
+                raise UsageError(f"{flag} must be {_one_of(spec.choices)}, not {value!r}")
+    if stray or end < len(argv):
+        raise UsageError(f"unrecognized arguments: {' '.join(stray + argv[end:])}")
     return given
 
 
@@ -495,8 +547,7 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
             continue
         label = (spec.flag or name).lstrip("-")
         if spec.choices is not None and value not in spec.choices:
-            *others, last = spec.choices
-            raise UsageError(f"{label} must be {', '.join(others)} or {last}")
+            raise UsageError(f"{label} must be {_one_of(spec.choices)}")
         if spec.within is None:
             continue
         low, high, *interval = spec.within
@@ -527,25 +578,16 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
         if cfg.alpha2 is not None:
             raise UsageError("throughput reads a matched product at a2; drop alpha2")
         if cfg.preset is None and any(getattr(cfg, name) is None for name in (*_OPERATING_POINT, "protocol")):
-            raise UsageError(
-                "throughput needs --preset or config keys p_cav, detector_efficiency, "
-                "photon_rate and protocol"
-            )
+            raise UsageError("throughput needs --preset or config keys p_cav, detector_efficiency, photon_rate "
+                             "and protocol")
     return cfg
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
-    """Resolve flags plus optional config file into a validated RunConfig.
-
-    Flags that were given explicitly override config-file keys; unknown
-    config keys are rejected by name.  A throughput preset's fixed keys hold
-    its operating point, so the report echoes the config it computes.
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    given = _read_flags(argv)
-    if given is None:
-        given = {key: value for key, value in vars(build_parser().parse_args(argv)).items() if value is not None}
-    given["scenario"] = given["scenario"].replace("-", "_")
+    """Resolve flags plus optional config file into a validated RunConfig.  Flags override config-file keys; unknown
+    config keys are rejected by name.  A throughput preset's fixed keys hold its operating point, so the report echoes
+    the config it computes."""
+    given = _read_flags(sys.argv[1:] if argv is None else argv)
     path = given.pop("config", None)
     merged = _load_config_file(path) if path is not None else {}
     merged.update(given)
@@ -612,21 +654,13 @@ def run(cfg: RunConfig) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    page = io.StringIO()
     try:
-        with contextlib.redirect_stdout(page):  # argparse prints a --help page, then exits 0
-            cfg = parse_config(argv)
-        text = run(cfg)
-    except SystemExit as stop:
-        if stop.code:
-            raise
-        text = page.getvalue()
-    except UsageError as err:
+        text = run(parse_config(argv))
+    except HelpRequest as request:
+        text = request.args[0]
+    except (UsageError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, UsageError) else 1
     try:  # a full device or a closed pipe fails a write or the flush
         sys.stdout.write(text[:-1])
         sys.stdout.write(text[-1:])  # alone: unbuffered, a write that a closing reader cuts short raises nothing

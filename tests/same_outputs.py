@@ -11,10 +11,10 @@ below gave the same exit code, stdout and stderr on both.  The argvs are:
 * the configs of ``EXTRA_CONFIGS``: a product throughput with phases, and a
   preset refusal that names several keys given out of order.
 
-Each runs in this process through ``cli.main``, with ``COLUMNS=80`` as the help
-goldens are rendered.  Config files go to a temporary directory, which is also
-the working directory, and its path reads as ``<tmp>`` in what is hashed.  The
-script writes nothing inside the tree.  It reads ``src`` of its own tree:
+Each runs in this process through ``cli.main``.  Config files go to a
+temporary directory, which is also the working directory, and its path reads
+as ``<tmp>`` in what is hashed.  Without a flag, the script writes nothing
+inside the tree.  It reads ``src`` of its own tree:
 
     python tests/same_outputs.py
 
@@ -27,7 +27,8 @@ The same answers also make a manifest, one line per argv in ``argvs()``
 order: its index, its class, its exit code, and the first 12 hex digits of
 the sha256 of its stdout and of its stderr.  The classes are ``report``
 (exit 0), ``refusal`` (exit 2 with ``error:``), ``argparse`` (exit 2 with
-``usage:``) and ``failure`` (exit 1).  The manifest is committed as
+``usage:``, the wording of the standard library's parser, which no argv reaches
+since the CLI reads every argv itself) and ``failure`` (exit 1).  The manifest is committed as
 ``tests/golden/same_outputs.txt``; a change that means to move an answer
 rewrites it, and the diff names each moved line:
 
@@ -96,16 +97,12 @@ def answer(argv: list) -> tuple:
     """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as stop:  # argparse's usage errors
-            code = stop.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
 def records() -> list:
-    """The JSON text of [argv, exit code, stdout, stderr] of every run, with the temporary directory read as ``<tmp>``."""
-    os.environ["COLUMNS"] = "80"
+    """The JSON text of [argv, exit code, stdout, stderr] of every run, the temporary directory read as ``<tmp>``."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as name:
         workdir = pathlib.Path(name)

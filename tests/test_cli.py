@@ -49,9 +49,7 @@ class TestParseConfig:
         assert "a2 must lie in [0, 1]" in err
 
     def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            parse_config(["iterate", "--bogus", "1"])
-        assert excinfo.value.code == 2
+        assert main(["iterate", "--bogus", "1"]) == 2
 
     def test_config_file_supplies_values(self, tmp_path):
         path = tmp_path / "run.json"
@@ -205,6 +203,20 @@ class TestParseConfig:
                 {"photon_rate": 1.0, "outcoupling": 0.5, "fidelity": 0.5, "a2": 0.9},
                 "--preset fixes the operating point and its source; drop a2, fidelity, outcoupling, photon_rate",
             ),
+            # the argv reader's own refusals, each where it reads the token, or at the end for a stray one
+            (["bogus"], None, "the subcommand must be single-pass, iterate, mixed, monte-carlo, throughput or sweep, "
+                              "not 'bogus'"),
+            ([], None, "a subcommand is needed: single-pass, iterate, mixed, monte-carlo, throughput or sweep"),
+            # every token is resolved before any is read, so the ambiguous prefix is refused before the help flag
+            (["iterate", "-h", "--phase", "1"], None,
+             "--phase is ambiguous: it could be --phase-alpha, --phase-beta, --phase-a or --phase-b"),
+            (["iterate", "--a2"], None, "--a2 needs a value"),
+            (["monte-carlo", "--trials", "1.5", "-h"], None, "--trials must be an integer, not '1.5'"),
+            # a later valid repeat of the flag does not undo the refusal
+            (["iterate", "--format", "xml", "--format", "json"], None,
+             "--format must be json, csv or table, not 'xml'"),
+            (["iterate", "--a2", "0.5", "stray", "--", "-h"], None, "unrecognized arguments: stray -- -h"),
+            (["iterate", "--help=x"], None, "--help takes no value, not 'x'"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, tmp_path, argv, config, named):
@@ -220,6 +232,27 @@ class TestParseConfig:
         assert code == 2
         assert out == ""
         assert err == f"error: {named}\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(["mixed", "--fid", "0.25"], {"fidelity": 0.25}, id="abbreviation"),
+            pytest.param(["iterate", "--a2=0.25"], {"a2": 0.25}, id="flag=value"),
+            # an exact name wins over the longer flag it is a prefix of, --phase-alpha
+            pytest.param(["iterate", "--phase-a=1"], {"phase_a": 1.0}, id="phase-a=1"),
+            pytest.param(["iterate", "--phase-b", "-.5"], {"phase_b": -0.5}, id="negative-fraction"),
+            pytest.param(["iterate", "--phase-b", "-\u0663"], {"phase_b": -3.0}, id="arabic-indic-digit"),
+            # an unknown flag is refused only once the whole argv is read, so the help page comes first
+            pytest.param(["iterate", "--bogus", "1", "-h"], "help_iterate.out", id="unknown-flag-then-help"),
+        ],
+    )
+    def test_accepted_spellings(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if isinstance(expected, str):
+            assert out == (pathlib.Path(__file__).with_name("golden") / expected).read_text(encoding="utf-8")
+        else:
+            assert {key: json.loads(out)["config"][key] for key in expected} == expected
 
     def test_defaults_and_preset_values_parse(self, tmp_path):
         # only the keys a request sets are checked, so this is what holds the defaults and presets in range
@@ -268,9 +301,7 @@ class TestParseConfig:
     def test_parser_reused_after_failure(self, capsys):
         args = ("single-pass", "--a2", "0.3", "--alpha2", "0.6", "--phase-a", "0.2")
         code1, out1, _ = run_cli(capsys, *args)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["single-pass", "--a2"])
-        assert excinfo.value.code == 2
+        assert main(["single-pass", "--a2"]) == 2
         assert main(["single-pass", "--a2", "1.5"]) == 2
         capsys.readouterr()
         code2, out2, _ = run_cli(capsys, *args)
@@ -619,8 +650,8 @@ def test_runtime_imports_only_the_standard_library():
 
 
 #: Modules a cold start must not load: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-#: ``typing`` costs about 4 ms.  A plain report is read without ``argparse``, which pulls in ``gettext`` and
-#: ``locale``, and written without ``json``.  ``linecache`` is not listed, as Python 3.13 loads it at startup.
+#: ``typing`` costs about 4 ms.  No argv is read with ``argparse``, which pulls in ``gettext`` and ``locale``, and a
+#: plain report is written without ``json``.  ``linecache`` is not listed, as Python 3.13 loads it at startup.
 _HEAVY_MODULES = {"dataclasses", "inspect", "typing", "argparse", "gettext", "locale", "json"}
 
 
@@ -635,17 +666,30 @@ _COLD_REPORTS = {
 }
 
 
+#: Argvs that are not plain, by test id, with their exit code: a help page, ``--flag=value``, an abbreviated flag and
+#: a refusal.
+_COLD_OTHERS = {
+    "help": (["iterate", "--help"], 0),
+    "flag=value": (["iterate", "--a2=0.5"], 0),
+    "abbreviation": (["mixed", "--fid", "0.7"], 0),
+    "refusal": (["single-pass", "--a2", "x"], 2),
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["-c", "import ionmzi.cli"], *(["-m", "ionmzi", *argv] for argv in _COLD_REPORTS.values())],
-    ids=["import", *_COLD_REPORTS],
+    "argv, code",
+    [
+        pytest.param(["-c", "import ionmzi.cli"], 0, id="import"),
+        *(pytest.param(["-m", "ionmzi", *argv], 0, id=name) for name, argv in _COLD_REPORTS.items()),
+        *(pytest.param(["-m", "ionmzi", *argv], code, id=name) for name, (argv, code) in _COLD_OTHERS.items()),
+    ],
 )
-def test_cold_start_loads_no_heavy_module(argv):
+def test_cold_start_loads_no_heavy_module(argv, code):
     # -S skips site, whose .pth files may import typing first; -X importtime names every module the process imports
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = subprocess.run([sys.executable, "-S", "-X", "importtime", *argv], env=env, capture_output=True, text=True)
-    assert probe.returncode == 0, probe.stderr
+    assert probe.returncode == code, probe.stderr
     lines = probe.stderr.splitlines()
     imported = {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
     assert {"ionmzi.cli", "ionmzi.protocol"} <= imported

@@ -1,4 +1,4 @@
-"""Seeded fuzz of ``--config`` files through every subcommand, and of argvs through the plain-argv reader.
+"""Seeded fuzz of ``--config`` files through every subcommand, and of argvs through the argv reader.
 
 The cases come from one fixed seed.  Half of them are well formed for their
 subcommand; the other half break one or two keys with a wrong type, a bool,
@@ -14,10 +14,12 @@ against the published schema.
 valid, merely long, run.
 
 The argvs are drawn from a zoo of flags and values, many of them spellings
-that argparse treats in its own way: abbreviations, ``--flag=value``, help,
-``--``, repeated flags, odd token counts, and values such as ``-5.``,
-``-1e5``, ``1_000``, an Arabic-Indic digit or a superscript two.  For each,
-``cli._read_flags`` must give either None or exactly what argparse parses.
+with rules of their own: abbreviations, ``--flag=value``, help, ``--``,
+repeated flags, odd token counts, and values such as ``-5.``, ``-1e5``,
+``1_000``, an Arabic-Indic digit or a superscript two.  Read in an empty
+working directory, each must make ``cli.parse_config`` raise ``UsageError``
+exactly where the committed same-outputs manifest, written by
+``tests/same_outputs.py --manifest``, holds exit code 2 for it.
 
 The report writer is fuzzed on seeded nested values: dicts with str and int
 keys, many of them escaped by JSON, lists, tuples, records nested in each
@@ -25,9 +27,8 @@ other, complex numbers and edge floats.  ``cli._dump_json`` must write each
 exactly as ``oracles.reference_dump_json``, the writer it replaced.
 """
 
-import contextlib
-import io
 import json
+import pathlib
 import random
 from collections import namedtuple
 from importlib import resources
@@ -40,7 +41,6 @@ from ionmzi.cli import _CONFIG_KEYS, RunConfig, main
 from ionmzi.efficiency import ReferenceValue, ThroughputReport
 from ionmzi.protocol import IonPairState
 from oracles import reference_dump_json
-from test_golden_reports import CASES as GOLDEN_CASES
 
 SEED = 20240611
 CASES = 400
@@ -206,42 +206,29 @@ def _argv(rng: random.Random) -> list[str]:
     return argv
 
 
-def _argparse_entries(argv: list[str]) -> dict | None:
-    """The non-None entries of argparse's namespace for ``argv``, or None if argparse exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            namespace = cli.build_parser().parse_args(argv)
-        except SystemExit:
-            return None
-    return {key: value for key, value in vars(namespace).items() if value is not None}
+#: The committed manifest of ``tests/same_outputs.py``: its argv fuzz runs are the ``ARGV_CASES`` lines before the
+#: last two, which are its ``EXTRA_CONFIGS``.
+MANIFEST = pathlib.Path(__file__).with_name("golden") / "same_outputs.txt"
 
 
-def test_plain_argv_reader_agrees_with_argparse():
+def test_fuzzed_argvs_are_refused_where_the_manifest_exits_two(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --config path names no file, as in the manifest's runs
+    lines = MANIFEST.read_text(encoding="utf-8").splitlines()[-ARGV_CASES - 2:-2]
     rng = random.Random(ARGV_SEED)
-    read = parsed = 0
-    for _ in range(ARGV_CASES):
+    refused = 0
+    for line in lines:
         argv = _argv(rng)
-        entries = _argparse_entries(argv)
-        given = cli._read_flags(argv)
-        if entries is None:
-            assert given is None, argv
-            continue
-        parsed += 1
-        if given is not None:
-            read += 1
-            # repr tells 3 from 3.0 and matches nan with nan
-            assert repr(sorted(given.items())) == repr(sorted(entries.items())), argv
-    # each path is taken often: argparse exits, the reader reads, the reader hands a valid argv to argparse
-    assert ARGV_CASES - parsed > ARGV_CASES // 5 and read > ARGV_CASES // 5 and parsed - read > 30, (read, parsed)
-
-
-def test_plain_argv_reader_reads_every_golden_argv():
-    for name, (argv, config) in GOLDEN_CASES.items():
-        if config is not None:
-            argv = [*argv, "--config", f"{name}.json"]
-        given = cli._read_flags(argv)
-        assert given is not None, name
-        assert repr(sorted(given.items())) == repr(sorted(_argparse_entries(argv).items())), name
+        try:
+            cli.parse_config(argv)
+            raised = False
+        except cli.HelpRequest:
+            raised = False
+        except cli.UsageError:
+            raised = True
+        assert raised == (line.split()[2] == "2"), (line, argv)
+        refused += raised
+    # both answers are common: the reader reads, and the reader refuses
+    assert ARGV_CASES // 5 < refused < ARGV_CASES - ARGV_CASES // 5, refused
 
 
 WRITER_SEED = 20261020

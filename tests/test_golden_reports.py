@@ -14,7 +14,6 @@ and review the diff.
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -93,7 +92,7 @@ CASES = {
 }
 
 
-#: help page -> argv; rendered with COLUMNS=80, as argparse wraps to the terminal width.
+#: help page -> argv
 HELP_PAGES = {
     "top": ["--help"],
     **{name: [name, "--help"] for name in ("single-pass", "iterate", "mixed", "monte-carlo", "throughput", "sweep")},
@@ -116,8 +115,9 @@ def render_case(name: str, config_dir: pathlib.Path) -> str:
 
 def render_help(page: str) -> str:
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), contextlib.suppress(SystemExit):
-        main(HELP_PAGES[page])
+    with contextlib.redirect_stdout(buffer):
+        code = main(HELP_PAGES[page])
+    assert code == 0, page
     return buffer.getvalue()
 
 
@@ -130,6 +130,13 @@ def test_report_matches_golden(name, tmp_path):
 @parametrize("page", sorted(HELP_PAGES))
 def test_help_matches_golden(page, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
+
+
+@parametrize("columns", ["40", "200"])
+@parametrize("page", sorted(HELP_PAGES))
+def test_help_is_laid_out_80_columns_wide_at_any_width(page, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
     assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
 
 
@@ -198,6 +205,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(CASES):
             (GOLDEN / f"{case}.out").write_bytes(render_case(case, pathlib.Path(scratch)).encode("utf-8"))
-    os.environ["COLUMNS"] = "80"
     for page in sorted(HELP_PAGES):
         (GOLDEN / f"help_{page}.out").write_bytes(render_help(page).encode("utf-8"))

@@ -22,7 +22,10 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
 * ``cli.render`` of a pre-built single-pass and iterate report as JSON, the median of 2,000 calls
   each, the renderer's share of the in-process figure;
 * the line count of each ``src/ionmzi/*.py``, as ``wc -l`` gives it, and the total, the tracked
-  measure of ROADMAP aim 2.
+  measure of ROADMAP aim 2;
+* argvs that are not plain, of which the benchmark sends none: a cold ``iterate --help`` and a
+  cold ``single-pass --a2=0.5``, each the median of 5 fresh processes, and an in-process
+  ``single-pass --a2=0.5`` report, the median of 2,000 runs.
 
 It reads ``src`` of its own tree and writes nothing: its subprocesses run with ``-B``, take that
 ``src`` as ``PYTHONPATH`` (the ``monte_carlo`` ones also ``tests``, to import this script) and
@@ -55,6 +58,8 @@ from ionmzi.recycler import MAX_PASSES, monte_carlo  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 REPORT = ["single-pass", "--a2", "0.5"]
+#: The same report with its value after ``=``: not a plain argv.
+EQUALS = ["single-pass", "--a2=0.5"]
 
 
 def timed(call, runs: int, pick=statistics.median) -> float:
@@ -125,6 +130,14 @@ def main() -> None:
     for path, count in lines.items():
         print(f"{count:5d} {path}")
     print(f"{sum(lines.values()):5d} total")
+
+    for args, label in ((["iterate", "--help"], "iterate --help page"), (EQUALS, "single-pass --a2=0.5 report")):
+        argv = [sys.executable, "-B", "-m", "ionmzi", *args]
+        cold = timed(lambda: subprocess.run(argv, env=ENV, check=True, stdout=subprocess.DEVNULL), 5)
+        print(f"cold {label}: median {cold * 1e3:.1f} ms of 5 runs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        in_process = timed(lambda: cli.main(EQUALS), 2000)
+    print(f"in-process single-pass --a2=0.5 report: median {in_process * 1e6:.1f} us of 2000 runs")
 
 
 if __name__ == "__main__":
