@@ -430,8 +430,7 @@ def _wrap(words: list[str], lead: str, indent: str) -> list[str]:
 
 
 def _help_page(subcommand: str | None) -> str:
-    """The ``--help`` page of ``subcommand``, or of the program for None, 80 columns wide; an entry's text starts at
-    column 24."""
+    """The ``--help`` page of ``subcommand``, or of the program for None: 80 columns wide, entry texts at column 24."""
     prog = f"{TOOL_NAME} {subcommand}" if subcommand else TOOL_NAME
     indent = " " * len(f"usage: {prog} ")
     rows = [(f"{flag} {'{' + ','.join(spec.choices) + '}' if spec.choices else key.upper()}", spec.help)
@@ -492,22 +491,21 @@ def _read_flags(argv: list[str]) -> dict:
     flags, names, rest = _FLAGS[subcommand], {**_HELP, **_FLAGS[subcommand]}, argv[start + 1:end]
     tokens = zip(rest, [_token(text, names) for text in rest])  # every token resolved before any is read
     for text, (flag, value) in tokens:
-        if flag in _HELP:
+        if flag not in flags:  # a help flag, an unknown flag or a stray value
             _help(flag, value, subcommand)
-        elif flag not in flags:
             stray.append(text)
-        else:
-            if value is None:  # the next token, if it is a value
-                value, (after, _) = next(tokens, (None, ("", None)))
-                if after is not None:
-                    raise UsageError(f"{flag} needs a value")
-            key, spec = flags[flag]
-            try:
-                given[key] = spec.type(value)
-            except ValueError:
-                raise UsageError(f"{flag} must be {_KINDS[spec.type]}, not {value!r}") from None
-            if spec.choices is not None and given[key] not in spec.choices:
-                raise UsageError(f"{flag} must be {_one_of(spec.choices)}, not {value!r}")
+            continue
+        if value is None:  # the next token, if it is a value
+            value, (after, _) = next(tokens, (None, ("", None)))
+            if after is not None:
+                raise UsageError(f"{flag} needs a value")
+        key, spec = flags[flag]
+        try:
+            given[key] = spec.type(value)
+        except ValueError:
+            raise UsageError(f"{flag} must be {_KINDS[spec.type]}, not {value!r}") from None
+        if spec.choices is not None and given[key] not in spec.choices:
+            raise UsageError(f"{flag} must be {_one_of(spec.choices)}, not {value!r}")
     if stray or end < len(argv):
         raise UsageError(f"unrecognized arguments: {' '.join(stray + argv[end:])}")
     return given
@@ -578,8 +576,10 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
         if cfg.alpha2 is not None:
             raise UsageError("throughput reads a matched product at a2; drop alpha2")
         if cfg.preset is None and any(getattr(cfg, name) is None for name in (*_OPERATING_POINT, "protocol")):
-            raise UsageError("throughput needs --preset or config keys p_cav, detector_efficiency, photon_rate "
-                             "and protocol")
+            raise UsageError(
+                "throughput needs --preset or config keys p_cav, detector_efficiency, "
+                "photon_rate and protocol"
+            )
     return cfg
 
 
