@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from operator import attrgetter, itemgetter
 
 from . import efficiency, protocol, recycler
 from .protocol import IonPairState, bell_psi_minus, bell_psi_plus
@@ -151,21 +152,26 @@ def _iteration(result: recycler.IterationResult | recycler.MonteCarloResult) -> 
 # --- scenario runners -------------------------------------------------------
 
 
-def _resolved_amplitudes(cfg: RunConfig) -> tuple[complex, complex, complex, complex]:
-    alpha2 = cfg.alpha2 if cfg.alpha2 is not None else cfg.a2
-    u_plus = math.sqrt(alpha2) * cmath.exp(1j * cfg.phase_alpha)
-    u_minus = math.sqrt(1.0 - alpha2) * cmath.exp(1j * cfg.phase_beta)
-    l_plus = math.sqrt(cfg.a2) * cmath.exp(1j * cfg.phase_a)
-    l_minus = math.sqrt(1.0 - cfg.a2) * cmath.exp(1j * cfg.phase_b)
-    return u_plus, u_minus, l_plus, l_minus
+def _amplitude_rule(cfg: RunConfig):
+    """(u_plus, u_minus, l_plus, l_minus) as a function of ``a2`` and ``alpha2`` (None reads ``a2``), both ``cfg``'s by
+    default.  Its defaults also hold ``cfg``'s four phase factors, so a sweep computes them once."""
+
+    def amplitudes(a2=cfg.a2, alpha2=cfg.alpha2, e_alpha=cmath.exp(1j * cfg.phase_alpha),
+                   e_beta=cmath.exp(1j * cfg.phase_beta), e_a=cmath.exp(1j * cfg.phase_a),
+                   e_b=cmath.exp(1j * cfg.phase_b)):
+        alpha2 = alpha2 if alpha2 is not None else a2
+        return (math.sqrt(alpha2) * e_alpha, math.sqrt(1.0 - alpha2) * e_beta,
+                math.sqrt(a2) * e_a, math.sqrt(1.0 - a2) * e_b)
+
+    return amplitudes
 
 
 def _product_ions(cfg: RunConfig) -> IonPairState:
-    return IonPairState.product(*_resolved_amplitudes(cfg))
+    return IonPairState.product(*_amplitude_rule(cfg)())
 
 
 def _run_single_pass(cfg: RunConfig) -> dict:
-    u_plus, u_minus, l_plus, l_minus = _resolved_amplitudes(cfg)
+    u_plus, u_minus, l_plus, l_minus = _amplitude_rule(cfg)()
     result = protocol.single_pass(IonPairState.product(u_plus, u_minus, l_plus, l_minus))
     post = result.post_detect_lower
     return {
@@ -203,15 +209,28 @@ def _mixed_pass(run: protocol.MixedPassResult) -> dict[str, float]:
             "p_scattered": run.p_scatter_u + run.p_scatter_l}
 
 
-def _mixed_iterated(components: tuple) -> dict[str, float]:
-    """The mixed input's iterated outcomes in closed form, each pooled over its (weight, ions, ...) components."""
-    analytic = tuple((weight, recycler.iterate_analytic(ions)) for weight, ions, *_ in components)
-    return {name: protocol._pooled(analytic, lambda result: getattr(result, name)) for name in _OUTCOMES}
+@functools.cache
+def _bell_limits(index: int) -> tuple[float, ...]:
+    """The closed form's ``_OUTCOMES`` for the mixed input's component ``index``, computed once per process."""
+    limit = recycler.iterate_analytic(protocol._bell_component(index)[0])
+    return tuple(getattr(limit, name) for name in _OUTCOMES)
+
+
+@functools.cache
+def _bell_walk(index: int, max_passes: int) -> float:
+    """The numeric walk's ``p_entangled`` of the mixed input's component ``index``, computed once per pass budget."""
+    return recycler.iterate_numeric(protocol._bell_component(index)[0], max_passes).p_entangled
+
+
+def _mixed_iterated(fidelity: float) -> dict[str, float]:
+    """The mixed input's iterated outcomes in closed form, each pooled over its components' limits."""
+    parts = protocol._mixed_components(fidelity)
+    return {name: protocol._pooled(parts, lambda index: _bell_limits(index)[at]) for at, name in enumerate(_OUTCOMES)}
 
 
 def _run_mixed(cfg: RunConfig) -> dict:
     run = protocol.run_mixed(cfg.fidelity)
-    numeric = protocol._pooled(run.components, lambda ions: recycler.iterate_numeric(ions, cfg.max_passes).p_entangled)
+    numeric = protocol._pooled(protocol._mixed_components(cfg.fidelity), lambda at: _bell_walk(at, cfg.max_passes))
     return {
         "fidelity": cfg.fidelity,
         "single_pass": {
@@ -219,7 +238,7 @@ def _run_mixed(cfg: RunConfig) -> dict:
             "fidelity_lower_vs_psi_minus": _fidelity_vs(run.post_detect_lower, bell_psi_minus()),
             "fidelity_upper_vs_psi_plus": _fidelity_vs(run.post_detect_upper, bell_psi_plus()),
         },
-        "iterated": {**_mixed_iterated(run.components), "p_entangled_numeric": numeric},
+        "iterated": {**_mixed_iterated(cfg.fidelity), "p_entangled_numeric": numeric},
     }
 
 
@@ -255,7 +274,7 @@ def _run_throughput(cfg: RunConfig) -> dict:
             },
         }
     if cfg.protocol == "mixed":  # the iterated success as the mixed and iterate reports give it
-        p_protocol = _mixed_iterated(protocol._mixed_components(cfg.fidelity))["p_entangled"]
+        p_protocol = _mixed_iterated(cfg.fidelity)["p_entangled"]
     else:
         p_protocol = recycler.iterate_analytic(_product_ions(cfg)).p_entangled
     source_key = _SOURCE_KEY[cfg.protocol]
@@ -276,34 +295,26 @@ def _run_throughput(cfg: RunConfig) -> dict:
     }
 
 
-def _mixed_point(point: RunConfig) -> dict:
-    run = protocol.run_mixed(point.fidelity)
-    return {**_mixed_pass(run), "p_entangled_iterated": _mixed_iterated(run.components)["p_entangled"]}
-
-
-#: Sweep scenario -> (its report columns after the axis, the values at one
-#: point, by column name).
+#: Sweep scenario -> (its report columns after the axis, the record, or for mixed the dict, that holds them at one
+#: point's input: the fidelity, or the product IonPairState).  Each looks its function up per call, as tracing wraps it.
 _SWEEPS = {
-    "single_pass": (
-        ("p_scatter_u", "p_scatter_l", "p_detect_upper", "p_detect_lower", "p_recycle"),
-        lambda point: protocol.single_pass(_product_ions(point))._asdict(),
-    ),
-    "iterate": (
-        ("p_entangled", "p_scattered", "p_stuck", "p_truncated"),
-        lambda point: recycler.iterate_analytic(_product_ions(point))._asdict(),
-    ),
-    "mixed": (("p_detect_lower", "p_detect_upper", "p_scattered", "p_entangled_iterated"), _mixed_point),
+    "single_pass": (("p_scatter_u", "p_scatter_l", "p_detect_upper", "p_detect_lower", "p_recycle"),
+                    lambda ions: protocol.single_pass(ions)),
+    "iterate": (("p_entangled", "p_scattered", "p_stuck", "p_truncated"), lambda ions: recycler.iterate_analytic(ions)),
+    "mixed": (("p_detect_lower", "p_detect_upper", "p_scattered", "p_entangled_iterated"), lambda fidelity: {
+        **_mixed_pass(protocol.run_mixed(fidelity)), "p_entangled_iterated": _mixed_iterated(fidelity)["p_entangled"]}),
 }
 
 
 def _run_sweep(cfg: RunConfig) -> dict:
     columns, evaluate = _SWEEPS[cfg.sweep_scenario]
+    amplitudes, read = _amplitude_rule(cfg), (itemgetter if cfg.axis == "fidelity" else attrgetter)(*columns)
     span = cfg.sweep_to - cfg.sweep_from
     rows = []
     for index in range(cfg.points):
         value = cfg.sweep_to if index == cfg.points - 1 else cfg.sweep_from + span * index / (cfg.points - 1)
-        point = evaluate(cfg._replace(**{cfg.axis: value}))
-        rows.append({cfg.axis: value, **{column: point[column] for column in columns}})
+        point = evaluate(value if cfg.axis == "fidelity" else IonPairState.product(*amplitudes(**{cfg.axis: value})))
+        rows.append(dict(zip((cfg.axis, *columns), (value, *read(point)))))
     return {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
 
 

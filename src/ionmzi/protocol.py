@@ -339,12 +339,18 @@ class MixedPassResult(namedtuple("MixedPassResult", (
     __slots__ = ()
 
 
-def _mixed_components(fidelity: float) -> Ensemble:
-    """The mixed input: |Psi+> with weight ``fidelity`` and |Phi+> with the rest, zero weights dropped."""
+@functools.cache
+def _bell_component(index: int) -> tuple[IonPairState, PassResult]:
+    """Mixed input component ``index``, |Psi+> (0) or |Phi+> (1), and its single pass: computed once per process."""
+    ions = (bell_psi_plus, bell_phi_plus)[index]()
+    return ions, single_pass(ions)
+
+
+def _mixed_components(fidelity: float) -> tuple[tuple[float, int], ...]:
+    """The mixed input as (weight, component index): |Psi+> weighs ``fidelity``, |Phi+> the rest, zero weights out."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    components = ((fidelity, bell_psi_plus()), (1.0 - fidelity, bell_phi_plus()))
-    return tuple((weight, ions) for weight, ions in components if weight > 0.0)
+    return tuple((weight, index) for index, weight in enumerate((fidelity, 1.0 - fidelity)) if weight > 0.0)
 
 
 def _pooled(components: tuple, value) -> float:
@@ -358,7 +364,7 @@ def _pooled(components: tuple, value) -> float:
 
 def run_mixed(fidelity: float) -> MixedPassResult:
     """Single traversal for the two-component mixed input with overlap ``fidelity`` on |Psi+>."""
-    runs = tuple((w, ions, single_pass(ions)) for w, ions in _mixed_components(fidelity))
+    runs = tuple((w, *_bell_component(index)) for w, index in _mixed_components(fidelity))
     passes = tuple((w, r) for w, _, r in runs)
 
     def conditioned(prob, post) -> Ensemble | None:

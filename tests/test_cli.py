@@ -12,9 +12,12 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ionmzi import cli
+from ionmzi import cli, protocol, recycler
 from ionmzi.cli import RunConfig, UsageError, main, parse_config
 from ionmzi.efficiency import ThroughputReport
+from ionmzi.protocol import bell_phi_plus, bell_psi_plus
+
+from test_golden_reports import CASES, GOLDEN
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -560,6 +563,84 @@ class TestThroughputReports:
             path.write_text(json.dumps({**custom, **ions}))
             throughput = cli.build_report(parse_config(["throughput", "--config", str(path)]))["results"]
             assert throughput["p_protocol"].hex() == iterate["p_entangled"].hex(), ions
+
+
+#: The mixed reports' goldens, which a process must print alike whether it has computed the components or not.
+_MIXED_GOLDENS = ("mixed", "mixed_fidelity_1", "mixed_fidelity_1e-300")
+_PHASES = ["--phase-alpha", "0.3", "--phase-beta", "-1.2", "--phase-a", "2.1", "--phase-b", "0.7"]
+#: Each sweep the CLI accepts, by test id: (its flags, the subcommand of one point's report, that report's flags).
+_SWEEP_KINDS = {
+    "single_pass-a2": (["single_pass", "a2", "0", "1", *_PHASES], "single-pass", _PHASES),
+    "single_pass-a2-alpha2": (["single_pass", "a2", "0.05", "0.95", "--alpha2", "0.2", *_PHASES], "single-pass",
+                              ["--alpha2", "0.2", *_PHASES]),
+    "single_pass-alpha2": (["single_pass", "alpha2", "0.1", "0.9", "--a2", "0.35", *_PHASES], "single-pass",
+                           ["--a2", "0.35", *_PHASES]),
+    "iterate-a2": (["iterate", "a2", "0", "1", *_PHASES], "iterate", _PHASES),
+    "iterate-alpha2": (["iterate", "alpha2", "0", "0.8", "--a2", "0.6", *_PHASES], "iterate", ["--a2", "0.6", *_PHASES]),
+    "mixed-fidelity": (["mixed", "fidelity", "0", "1", *_PHASES], "mixed", []),
+}
+
+
+def _point_values(subcommand: str, results: dict) -> dict:
+    """A single report's figures under the names of a sweep's columns."""
+    if subcommand == "single-pass":
+        return {f"p_{name}": value for name, value in results["probabilities"].items()}
+    if subcommand == "iterate":
+        return results["analytic"]
+    return {**results["single_pass"], "p_entangled_iterated": results["iterated"]["p_entangled"]}
+
+
+class TestComputedOnce:
+    """A process computes the mixed input's components once, and a sweep its phase factors once: no figure moves."""
+
+    def test_mixed_goldens_after_many_reports(self, capsys):
+        rng = random.Random(37)
+        for _ in range(50):
+            argv = ["mixed", "--fidelity", repr(rng.random()), "--max-passes", str(rng.randint(1, 60))]
+            assert run_cli(capsys, *argv)[0] == 0
+        for name in _MIXED_GOLDENS:
+            code, out, _ = run_cli(capsys, *CASES[name][0])
+            assert (code, out.encode("utf-8")) == (0, (GOLDEN / f"{name}.out").read_bytes())
+
+    @pytest.mark.parametrize("name", _MIXED_GOLDENS)
+    def test_mixed_golden_in_a_fresh_process(self, name):
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+        probe = subprocess.run([sys.executable, "-m", "ionmzi", *CASES[name][0]], env=env, capture_output=True)
+        assert (probe.returncode, probe.stdout) == (0, (GOLDEN / f"{name}.out").read_bytes()), probe.stderr
+
+    def test_each_component_walks_once_per_pass_budget(self, capsys, monkeypatch):
+        walked = []
+        walk = recycler.iterate_numeric
+        monkeypatch.setattr(recycler, "iterate_numeric", lambda *args: walked.append(args) or walk(*args))
+        cli._bell_walk.cache_clear()
+        cli._bell_limits.cache_clear()
+        rng = random.Random(38)
+        fidelities = [0.0, 1.0, 5e-324, 1e-300, *(rng.random() for _ in range(40))]
+        for max_passes in (17, 1, 4096):
+            for fidelity in fidelities:
+                assert run_cli(capsys, "mixed", "--fidelity", repr(fidelity), "--max-passes", str(max_passes))[0] == 0
+                assert run_cli(capsys, "sweep", "--scenario", "mixed", "--axis", "fidelity", "--from", repr(fidelity),
+                               "--to", "1", "--points", "3")[0] == 0
+            if max_passes == 17:
+                assert set(walked) == {(bell_psi_plus(), 17), (bell_phi_plus(), 17)} and len(walked) == 2
+        # the keys: a component and a pass budget for the walks, a component for the closed forms and single passes
+        assert cli._bell_walk.cache_info().currsize == len(walked) == 6
+        assert cli._bell_limits.cache_info().currsize == 2
+        assert protocol._bell_component.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("points", [2, 3, 21])
+    @pytest.mark.parametrize("kind", sorted(_SWEEP_KINDS))
+    def test_sweep_rows_are_single_reports(self, kind, points):
+        (scenario, axis, start, stop, *flags), subcommand, point_flags = _SWEEP_KINDS[kind]
+        cfg = parse_config(["sweep", "--scenario", scenario, "--axis", axis, "--from", start, "--to", stop,
+                            "--points", str(points), *flags])
+        results = cli.build_report(cfg)["results"]
+        assert len(results["rows"]) == points
+        for row in results["rows"]:
+            point = parse_config([subcommand, *point_flags, f"--{axis}", repr(row[axis])])
+            expected = _point_values(subcommand, cli.build_report(point)["results"])
+            assert {column: row[column].hex() for column in results["columns"][1:]} == {
+                column: expected[column].hex() for column in results["columns"][1:]}, row
 
 
 class TestSchema:

@@ -440,3 +440,46 @@ class TestRunMixed:
                     assert sum(weights) == pytest.approx(1.0, abs=1e-10)
                     # the constructor enforces the unit norm
                     assert all(isinstance(state, IonPairState) for _, state in ensemble)
+
+    def test_pools_the_components_fresh_single_passes(self):
+        """``run_mixed`` reads each component's single pass from a per-process cache; every float it returns is the
+        one a pooling of fresh single passes gives, in the same order of operations."""
+        fresh = [(ions, single_pass(ions)) for ions in (bell_psi_plus(), bell_phi_plus())]
+        rng = random.Random(20260)
+        seeded = [rng.random() for _ in range(200)]
+        for fidelity_in in (*seeded, 0.0, 5e-324, 1e-300, 1.0 - 1e-16, 1.0):
+            kept = [(w, ions, r) for w, (ions, r) in zip((fidelity_in, 1.0 - fidelity_in), fresh) if w > 0.0]
+            pooled = {}
+            for name in (name for name in protocol.PassResult._fields if name.startswith("p_")):
+                pooled[name] = 0.0
+                for w, _, r in kept:
+                    pooled[name] += w * getattr(r, name)
+
+            def conditioned(name):
+                if pooled[f"p_{name}"] <= 0.0:
+                    return None
+                parts = [(w * getattr(r, f"p_{name}") / pooled[f"p_{name}"], getattr(r, f"post_{name}"))
+                         for w, _, r in kept if getattr(r, f"post_{name}") is not None]
+                return tuple((weight, state) for weight, state in parts if weight > 0.0)
+
+            expected = (fidelity_in, tuple(kept), *pooled.values(), conditioned("detect_upper"),
+                        conditioned("detect_lower"))
+            assert _hexes(run_mixed(fidelity_in)) == _hexes(expected), fidelity_in
+
+    def test_component_cache_is_keyed_by_component_alone(self):
+        protocol._bell_component.cache_clear()
+        for fidelity_in in (0.0, 0.25, 0.5, 1e-300, 1.0, 0.7):
+            run_mixed(fidelity_in)
+        assert protocol._bell_component.cache_info().currsize == 2
+        assert [protocol._bell_component(index)[0] for index in (0, 1)] == [bell_psi_plus(), bell_phi_plus()]
+
+
+def _hexes(value):
+    """``value`` with every float, complex parts included, as ``float.hex``, and every tuple as a list."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    if isinstance(value, tuple):
+        return [_hexes(item) for item in value]
+    return value
