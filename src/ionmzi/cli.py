@@ -417,10 +417,15 @@ def _one_of(names) -> str:
     return f"{', '.join(others)} or {last}"
 
 
-#: Subcommand -> {flag: (config key, its ``_CONFIG_KEYS`` record)} in ``--help`` order; ``--config`` has its own record.
+#: Scenario -> the report formats it accepts: every format of the config key, but CSV rows for a sweep alone.
+_FORMATS = {name: tuple(kind for kind in _CONFIG_KEYS["format"].choices if kind != "csv" or name == "sweep")
+            for name in _SCENARIOS}
+#: Subcommand -> {flag: (config key, its record)} in ``--help`` order.  A record is the key's ``_CONFIG_KEYS`` record,
+#: but ``--format``'s lists the scenario's ``_FORMATS`` and ``--config`` has one of its own.
 _FLAGS = {
     name.replace("_", "-"): {
-        **{_CONFIG_KEYS[key].flag: (key, _CONFIG_KEYS[key]) for key in (*keys, "format")},
+        **{_CONFIG_KEYS[key].flag: (key, _CONFIG_KEYS[key]) for key in keys},
+        "--format": ("format", _CONFIG_KEYS["format"]._replace(choices=_FORMATS[name])),
         "--config": ("config", _ConfigKey(str, help="JSON file with config keys; flags override")),
     }
     for name, (_, _, keys) in _SCENARIOS.items()
@@ -551,9 +556,11 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
         if fixed:
             raise UsageError(f"--preset fixes the operating point and its source; drop {', '.join(fixed)}")
         cfg = cfg._replace(**point)
+    flags = _FLAGS[cfg.scenario.replace("_", "-")]
     for (name, spec), value in zip(_CONFIG_KEYS.items(), cfg):
         if value is None or name not in given:
             continue
+        spec = flags.get(spec.flag, (name, spec))[1]  # the subcommand's record of its flag: its formats for format
         label = (spec.flag or name).lstrip("-")
         if spec.choices is not None and value not in spec.choices:
             raise UsageError(f"{label} must be {_one_of(spec.choices)}")
@@ -566,8 +573,6 @@ def _validate(cfg: RunConfig, given: dict) -> RunConfig:
             raise UsageError(f"{label} must be {'positive' if low else 'nonnegative'}")
         if high is not None and value > high:
             raise UsageError(f"{label} must be at most {high}")
-    if cfg.format == "csv" and cfg.scenario != "sweep":
-        raise UsageError("csv format is only available for sweep")
     if cfg.scenario == "sweep":
         if cfg.sweep_scenario is None:
             raise UsageError("sweep needs --scenario (single_pass, iterate or mixed)")

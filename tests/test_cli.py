@@ -32,6 +32,17 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
+#: The smallest argv of each subcommand that parses.
+_SMALLEST = {
+    "single-pass": ["single-pass"],
+    "iterate": ["iterate"],
+    "mixed": ["mixed"],
+    "monte-carlo": ["monte-carlo"],
+    "throughput": ["throughput", "--preset", "paper-mixed"],
+    "sweep": ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "2"],
+}
+
+
 class TestParseConfig:
     def test_canonical_product_run(self):
         cfg = parse_config(["iterate", "--a2", "0.7"])
@@ -93,7 +104,26 @@ class TestParseConfig:
     def test_csv_only_for_sweep(self, capsys):
         code, _, err = run_cli(capsys, "iterate", "--a2", "0.5", "--format", "csv")
         assert code == 2
-        assert "sweep" in err
+        assert err == "error: --format must be json or table, not 'csv'\n"
+
+    @pytest.mark.parametrize("subcommand", sorted(_SMALLEST))
+    def test_help_page_lists_the_formats_its_scenario_accepts(self, tmp_path, subcommand):
+        """A format is accepted as a flag exactly when it is accepted in a config file, and exactly when the
+        subcommand's --help page lists it."""
+        listed = cli._help_page(subcommand).split("--format {", 1)[1].split("}", 1)[0].split(",")
+        accepted = []
+        for kind in ("json", "csv", "table", "xml"):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"format": kind}))
+            answers = set()
+            for argv in ([*_SMALLEST[subcommand], "--format", kind], [*_SMALLEST[subcommand], "--config", str(path)]):
+                try:
+                    answers.add(parse_config(argv).format == kind)
+                except UsageError:
+                    answers.add(False)
+            assert len(answers) == 1, kind
+            accepted += [kind] * answers.pop()
+        assert listed == accepted == (["json", "csv", "table"] if subcommand == "sweep" else ["json", "table"])
 
     def test_throughput_needs_preset_or_params(self, capsys):
         code, _, err = run_cli(capsys, "throughput")
@@ -217,7 +247,7 @@ class TestParseConfig:
             (["monte-carlo", "--trials", "1.5", "-h"], None, "--trials must be an integer, not '1.5'"),
             # a later valid repeat of the flag does not undo the refusal
             (["iterate", "--format", "xml", "--format", "json"], None,
-             "--format must be json, csv or table, not 'xml'"),
+             "--format must be json or table, not 'xml'"),
             (["iterate", "--a2", "0.5", "stray", "--", "-h"], None, "unrecognized arguments: stray -- -h"),
             (["iterate", "--help=x"], None, "--help takes no value, not 'x'"),
         ],
