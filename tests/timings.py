@@ -11,6 +11,12 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
   for ``cli-cold``'s ``latency_ms_p50``, the figure ROADMAP items 3 and 4 aim at;
 * an in-process ``cli.main`` of the same argv (reading it, the report, its rendering), the median of
   2,000 runs, the kind of request that ``exact``'s ``latency_ms_p50`` times;
+* an in-process ``mixed --fidelity 0.7`` report and a 21-point ``sweep --scenario single_pass --axis a2``
+  report, the median of 2,000 runs each, after one warm-up ``mixed`` report.  A process computes the
+  mixed input's two components once, at first use, and a sweep its phase factors once;
+* the first ``mixed --fidelity 0.7`` report of a fresh process, after one single-pass report that
+  compiles the traversal function, the median of 5 processes: the cost of the components, paid once
+  per process;
 * ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial, each case in a fresh
   process of its own, so that no figure depends on what ran before it: a small scatter-heavy
   run, a large one that resolves mostly in round 1 (set-up heavy), the costliest request class of
@@ -58,6 +64,18 @@ from ionmzi.recycler import MAX_PASSES, monte_carlo  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 REPORT = ["single-pass", "--a2", "0.5"]
+MIXED = ["mixed", "--fidelity", "0.7"]
+SWEEP = ["sweep", "--scenario", "single_pass", "--axis", "a2", "--from", "0", "--to", "1", "--points", "21"]
+#: A fresh process's first mixed report after one single-pass report, in seconds.
+FIRST_MIXED = f"""
+import contextlib, io, time
+from ionmzi import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main({REPORT!r})
+    start = time.perf_counter()
+    cli.main({MIXED!r})
+print(time.perf_counter() - start)
+"""
 #: The same report with its value after ``=``: not a plain argv.
 EQUALS = ["single-pass", "--a2=0.5"]
 
@@ -108,6 +126,17 @@ def main() -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         in_process = timed(lambda: cli.main(REPORT), 2000)
     print(f"in-process single-pass report: median {in_process * 1e6:.1f} us of 2000 runs")
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(MIXED)
+        mixed = timed(lambda: cli.main(MIXED), 2000)
+        sweep = timed(lambda: cli.main(SWEEP), 2000)
+    print(f"in-process mixed --fidelity 0.7 report: median {mixed * 1e6:.1f} us of 2000 runs")
+    print(f"in-process 21-point single_pass sweep report: median {sweep * 1e6:.1f} us of 2000 runs")
+    argv = [sys.executable, "-B", "-c", FIRST_MIXED]
+    first = [float(subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True).stdout) for _ in range(5)]
+    print(f"first mixed --fidelity 0.7 report of a fresh process: median {statistics.median(first) * 1e3:.2f} ms"
+          " of 5 processes")
 
     cases = ((0.5, (1000,), MAX_PASSES), (0.97, (30000,), MAX_PASSES), (0.25, (5400,), MAX_PASSES),
              (0.0, (2048, 20480), 4096))
