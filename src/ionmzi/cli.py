@@ -308,14 +308,15 @@ _SWEEPS = {
 
 def _run_sweep(cfg: RunConfig) -> dict:
     columns, evaluate = _SWEEPS[cfg.sweep_scenario]
-    amplitudes, read = _amplitude_rule(cfg), (itemgetter if cfg.axis == "fidelity" else attrgetter)(*columns)
+    mixed, amplitudes = cfg.axis == "fidelity", _amplitude_rule(cfg)
+    read, header = (itemgetter if mixed else attrgetter)(*columns), [cfg.axis, *columns]
     span = cfg.sweep_to - cfg.sweep_from
     rows = []
     for index in range(cfg.points):
         value = cfg.sweep_to if index == cfg.points - 1 else cfg.sweep_from + span * index / (cfg.points - 1)
-        point = evaluate(value if cfg.axis == "fidelity" else IonPairState.product(*amplitudes(**{cfg.axis: value})))
-        rows.append(dict(zip((cfg.axis, *columns), (value, *read(point)))))
-    return {"axis": cfg.axis, "columns": [cfg.axis, *columns], "rows": rows}
+        point = evaluate(value if mixed else IonPairState.product(*amplitudes(**{cfg.axis: value})))
+        rows.append(dict(zip(header, (value, *read(point)))))
+    return {"axis": cfg.axis, "columns": header, "rows": rows}
 
 
 #: Scenario -> (its runner, its --help line, the keys it takes as flags, in --help order).
