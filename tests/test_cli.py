@@ -246,8 +246,8 @@ class TestParseConfig:
             (["iterate", "--a2"], None, "--a2 needs a value"),
             (["monte-carlo", "--trials", "1.5", "-h"], None, "--trials must be an integer, not '1.5'"),
             # a later valid repeat of the flag does not undo the refusal
-            (["iterate", "--format", "xml", "--format", "json"], None,
-             "--format must be json or table, not 'xml'"),
+            (["sweep", "--format", "xml", "--format", "json"], None,
+             "--format must be json, csv or table, not 'xml'"),
             (["iterate", "--a2", "0.5", "stray", "--", "-h"], None, "unrecognized arguments: stray -- -h"),
             (["iterate", "--help=x"], None, "--help takes no value, not 'x'"),
         ],
