@@ -449,9 +449,8 @@ class TestRunMixed:
         seeded = [rng.random() for _ in range(200)]
         for fidelity_in in (*seeded, 0.0, 5e-324, 1e-300, 1.0 - 1e-16, 1.0):
             kept = [(w, ions, r) for w, (ions, r) in zip((fidelity_in, 1.0 - fidelity_in), fresh) if w > 0.0]
-            pooled = {}
-            for name in (name for name in protocol.PassResult._fields if name.startswith("p_")):
-                pooled[name] = 0.0
+            pooled = dict.fromkeys((name for name in protocol.PassResult._fields if name.startswith("p_")), 0.0)
+            for name in pooled:
                 for w, _, r in kept:
                     pooled[name] += w * getattr(r, name)
 
