@@ -219,6 +219,7 @@ def _kernel(photon_pol: Polarization, entry: Entry):
 
     Called with ``final=True`` the function returns the last stage's amplitudes instead.  Those are
     checked here against :func:`propagate` for each unit input, so the code that runs was checked.
+    The function keeps the text it was compiled from as its ``source``.
     """
     namespace = {  # ``_new`` builds a record from its fields' tuple, skipping the record's Python-level ``__new__``
         "PRUNE_EPS": PRUNE_EPS, "PassResult": PassResult, "SingleIonState": SingleIonState, "_post_state": _post_state,
@@ -279,8 +280,10 @@ def _kernel(photon_pol: Polarization, entry: Entry):
         f"    return _new(PassResult, (m0, m1, m2, m3, 0.0, {states}))",
     ]
     filename = f"<single_pass {photon_pol.value} {entry[0].value} {entry[1].value}>"
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    source = "\n".join(lines)
+    exec(compile(source, filename, "exec"), namespace)
     kernel = namespace["kernel"]
+    kernel.source = source  # what was compiled, for the tests' goldens
     for start, levels in enumerate(_PAIR_LEVELS):
         final = kernel(*[complex(slot == start) for slot in range(4)], False, True)
         composed = propagate(PureState([(BasisState(photon, *levels), 1.0)])).indexed_items()

@@ -1,10 +1,13 @@
-"""Byte-exact CLI reports for a fixed list of runs, and the ``--help`` pages.
+"""Byte-exact CLI reports for a fixed list of runs, the ``--help`` pages and the generated traversal functions.
 
-Each case's report is stored under ``tests/golden/<case>.out``, and the
+Each case's report is stored under ``tests/golden/<case>.out``, the
 help of the top level and of each subcommand, rendered 80 columns wide,
-under ``tests/golden/help_<page>.out``.  Any refactor must leave every one
-of them byte-identical.  After a change that is meant to alter a report or
-a help page, regenerate the files with
+under ``tests/golden/help_<page>.out``, and the source that ``single_pass``
+compiles for each polarization and entry under
+``tests/golden/kernel_<polarization>_<port>_<direction>.py``.  Any refactor
+must leave every one of them byte-identical, so a change to the emitted code
+shows as a diff of its golden.  After a change that is meant to alter a
+report, a help page or the emitted code, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
@@ -19,6 +22,8 @@ import sys
 
 from ionmzi.cli import main
 from ionmzi.efficiency import REFERENCE_POINT
+from ionmzi.protocol import ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD, _kernel
+from ionmzi.states import Polarization
 
 if __name__ == "__main__":  # the writer at the end needs only ionmzi.cli, so it runs where pytest is missing
     def parametrize(*_args):
@@ -99,6 +104,13 @@ HELP_PAGES = {
 }
 
 
+#: kernel golden -> (polarization, entry) of the traversal function it holds
+KERNELS = {
+    f"kernel_{pol.value}_{entry[0].value}_{entry[1].value}": (pol, entry)
+    for pol in Polarization for entry in (ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD)
+}
+
+
 def render_case(name: str, config_dir: pathlib.Path) -> str:
     argv, config = CASES[name]
     argv = list(argv)
@@ -121,6 +133,11 @@ def render_help(page: str) -> str:
     return buffer.getvalue()
 
 
+def render_kernel(name: str) -> str:
+    """The source of a generated traversal function, as compiled, with a final newline."""
+    return _kernel(*KERNELS[name]).source + "\n"
+
+
 @parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.out").read_bytes()
@@ -140,10 +157,16 @@ def test_help_is_laid_out_80_columns_wide_at_any_width(page, columns, monkeypatc
     assert render_help(page).encode("utf-8") == (GOLDEN / f"help_{page}.out").read_bytes()
 
 
+@parametrize("name", sorted(KERNELS))
+def test_kernel_matches_golden(name):
+    assert render_kernel(name).encode("utf-8") == (GOLDEN / f"{name}.py").read_bytes()
+
+
 def test_golden_files_are_exactly_the_cases_and_help_pages():
-    """Every golden is read by a case or a help page, so a renamed or dropped one leaves no orphan.  The one other
-    file is ``tests/same_outputs.py``'s manifest."""
+    """Every golden is read by a case, a help page or a kernel, so a renamed or dropped one leaves no orphan.  The
+    one other file is ``tests/same_outputs.py``'s manifest."""
     expected = {f"{case}.out" for case in CASES} | {f"help_{page}.out" for page in HELP_PAGES} | {"same_outputs.txt"}
+    expected |= {f"{name}.py" for name in KERNELS}
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
@@ -207,3 +230,5 @@ if __name__ == "__main__":
             (GOLDEN / f"{case}.out").write_bytes(render_case(case, pathlib.Path(scratch)).encode("utf-8"))
     for page in sorted(HELP_PAGES):
         (GOLDEN / f"help_{page}.out").write_bytes(render_help(page).encode("utf-8"))
+    for name in sorted(KERNELS):
+        (GOLDEN / f"{name}.py").write_bytes(render_kernel(name).encode("utf-8"))
