@@ -299,7 +299,7 @@ def _run_throughput(cfg: RunConfig) -> dict:
 #: point's input: the fidelity, or the product IonPairState).  Each looks its function up per call, as tracing wraps it.
 _SWEEPS = {
     "single_pass": (("p_scatter_u", "p_scatter_l", "p_detect_upper", "p_detect_lower", "p_recycle"),
-                    lambda ions: protocol.single_pass(ions)),
+                    lambda ions: protocol.single_pass(ions, posts=(False, False, False, False))),
     "iterate": (("p_entangled", "p_scattered", "p_stuck", "p_truncated"), lambda ions: recycler.iterate_analytic(ions)),
     "mixed": (("p_detect_lower", "p_detect_upper", "p_scattered", "p_entangled_iterated"), lambda fidelity: {
         **_mixed_pass(protocol.run_mixed(fidelity)), "p_entangled_iterated": _mixed_iterated(fidelity)["p_entangled"]}),

@@ -20,7 +20,8 @@ and writes each step, with the branch readout, as one straight-line Python funct
 repeats the element maps' arithmetic in their order.  That function is checked against the
 composed element maps before it is cached, and is pinned against independent references in
 the test suite.  Its post states skip the public constructor's conversions, but pass the
-same norm check.
+same norm check.  A caller that reads only some of them passes ``posts``: every branch
+mass is computed as always, but an unpicked branch's post state is left None.
 
 States and results are immutable records: ``namedtuple`` subclasses, so each also equals,
 iterates and indexes as the plain tuple of its fields.
@@ -177,7 +178,8 @@ class PassResult(namedtuple("PassResult", (
     The five probabilities sum to one.  Port-conditioned ion states
     (IonPairState for a port, SingleIonState for a scatter site) carry
     the phase the evolution produced and are populated whenever the port
-    has support; zero-probability branches hold None.  With a mirror on
+    has support and ``single_pass``'s ``posts`` picks it, as by default;
+    zero-probability and unpicked branches hold None.  With a mirror on
     the exit port (``enclosed``), the mirror-port mass is booked under
     ``p_recycle`` instead of a detector click; ``post_recycle`` always
     mirrors the state at that port.
@@ -204,7 +206,8 @@ def _kernel(photon_pol: Polarization, entry: Entry):
     The input kets are walked through ``_SPLITTER``, on through both ion maps, and through ``_SPLITTER``
     again.  Each ket a splitter reaches is written as reached: its merge as ``0j + amp * factor * ...
     + ...`` over the tables' own factor objects, bound by name, pruned to 0j below ``PRUNE_EPS``.  Each
-    branch's mass is summed in readout order (by :func:`_place`), and its post state scaled by ``mass ** -0.5``.
+    branch's mass is summed in readout order (by :func:`_place`), and its post state, where ``posts`` picks the
+    branch, scaled by ``mass ** -0.5``.
 
     A merged, pruned amplitude is *clean*: no part is -0.0, as ``0.0 + x`` never is, and it is 0j or
     not below ``PRUNE_EPS``.  ``0j +`` and the prune leave a clean amplitude as it is, and ``0.0 +``
@@ -235,7 +238,7 @@ def _kernel(photon_pol: Polarization, entry: Entry):
         return amp
 
     photon = _entry_photon(photon_pol, entry)
-    lines = ["def kernel(c_pp, c_pm, c_mp, c_mm, enclosed, final=False):"]
+    lines = ["def kernel(c_pp, c_pm, c_mp, c_mm, enclosed, final=False, posts=(True, True, True, True)):"]
     amps = {basis_index(BasisState(photon, *levels)): name  # by ket, in index order
             for levels, name in zip(_PAIR_LEVELS, ("c_pp", "c_pm", "c_mp", "c_mm"))}
     through_ions = [_ABSORPTION[IonId.ION_L][ket] for ket in _ABSORPTION[IonId.ION_U]]
@@ -267,6 +270,8 @@ def _kernel(photon_pol: Polarization, entry: Entry):
             f"    m{branch} = {mass}",
             f"    if m{branch} <= 0.0:",
             f"        m{branch}, s{branch} = 0.0, None",
+            f"    elif not posts[{branch}]:",
+            f"        s{branch} = None",
             "    else:",
             f"        inv = m{branch} ** -0.5",
             f"        s{branch} = {make.format(post)}",
@@ -312,14 +317,18 @@ def single_pass(
     photon_pol: Polarization = Polarization.SIGMA_PLUS,
     entry: Entry = ENTRY_LOWER_FORWARD,
     enclosed: bool = False,
+    *,
+    posts: tuple[bool, bool, bool, bool] = (True, True, True, True),
 ) -> PassResult:
     """Drive one traversal and decompose the outcome branches.
 
     For forward entry the mirror port is the upper-right output, so with
     ``enclosed`` the upper-port mass recycles; for backward entry the
     roles of the two ports swap.  Replays :func:`evolve_single_pass` bit for bit.
+    ``posts`` picks, in readout order (scatter at U, scatter at L, upper port, lower port), the branches
+    whose post state is built; an unpicked branch's state is None, with its mass unchanged.
     """
-    return _kernel(photon_pol, entry)(ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm, enclosed)
+    return _kernel(photon_pol, entry)(ions.c_pp, ions.c_pm, ions.c_mp, ions.c_mm, enclosed, False, posts)
 
 
 #: A heralded mixture: (weight, ion-pair state) components, weights in (0, 1] summing to one.

@@ -93,7 +93,8 @@ def _rounds(ions: IonPairState, max_passes: int) -> Iterator[tuple[float, float,
         raise ValueError("max_passes must be at least 1")
     state, post = ions, None
     for _ in range(max_passes):
-        result = single_pass(state, enclosed=True)
+        # the walk reads the mirror (upper) port's state every round, the lower port's until the first herald
+        result = single_pass(state, enclosed=True, posts=(False, False, True, post is None))
         state = result.post_recycle
         post = result.post_detect_lower if post is None else post
         stuck = abs2(state.c_mm) if state is not None else 0.0

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import random
@@ -281,6 +282,62 @@ class TestSchedule:
                 single_pass(bell_psi_plus())
         finally:
             protocol._kernel.cache_clear()
+
+
+#: Every selection of ``single_pass``'s post states, in readout order (scatter at U, scatter at L, upper port, lower
+#: port).  Among them: the recycling walk's before its first herald (False, False, True, True) and after it
+#: (False, False, True, False), and the single_pass sweep's, which picks none.
+SELECTIONS = list(itertools.product((False, True), repeat=4))
+
+
+def _branch_states(result) -> tuple:
+    """A PassResult's post states in readout order."""
+    return result.post_scatter_u, result.post_scatter_l, result.post_detect_upper, result.post_detect_lower
+
+
+class TestPostSelection:
+    """``posts`` moves no mass and no picked state of the full call, and leaves each unpicked state None."""
+
+    @staticmethod
+    def inputs() -> list[IonPairState]:
+        rng = np.random.default_rng(89)
+        return [
+            *(balanced_product(a2) for a2 in (0.0, 1.0, 5e-324)),  # each leaves some branch without support
+            bell_psi_minus(),
+            bell_phi_plus(),
+            *(random_ion_pair(rng) for _ in range(100)),
+            *(random_edge_ion_pair(rng) for _ in range(100)),
+        ]
+
+    @pytest.mark.parametrize("enclosed", [False, True], ids=["open", "enclosed"])
+    @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
+    def test_selection_leaves_only_unpicked_states_none(self, pol, entry, enclosed):
+        mirror = 2 if entry == ENTRY_LOWER_FORWARD else 3  # the branch that post_recycle holds
+        supported = set()
+        for ions in self.inputs():
+            full = single_pass(ions, pol, entry, enclosed)
+            full_states = _branch_states(full)
+            supported |= {(branch, mass > 0.0) for branch, mass in enumerate(single_pass(ions, pol, entry)[:4])}
+            for posts in SELECTIONS:
+                lean = single_pass(ions, pol, entry, enclosed, posts=posts)
+                assert type(lean) is protocol.PassResult
+                assert [mass.hex() for mass in lean[:5]] == [mass.hex() for mass in full[:5]]
+                for picked, state, full_state in zip(posts, _branch_states(lean), full_states):
+                    assert repr(state) == repr(full_state) if picked else state is None
+                assert lean.post_recycle is _branch_states(lean)[mirror]
+        # every branch was read both with and without support
+        assert supported == {(branch, has) for branch in range(4) for has in (False, True)}
+
+    @pytest.mark.parametrize("enclosed", [False, True], ids=["open", "enclosed"])
+    @pytest.mark.parametrize("entry", [ENTRY_LOWER_FORWARD, ENTRY_UPPER_BACKWARD], ids=["forward", "backward"])
+    @pytest.mark.parametrize("pol", list(Polarization), ids=lambda pol: pol.value)
+    def test_default_call_fills_every_branch_with_support(self, pol, entry, enclosed):
+        for ions in self.inputs():
+            result = single_pass(ions, pol, entry, enclosed)
+            masses = single_pass(ions, pol, entry)[:4]  # open, so each port's mass is its own field
+            assert [state is not None for state in _branch_states(result)] == [mass > 0.0 for mass in masses]
+            assert repr(result) == repr(single_pass(ions, pol, entry, enclosed, posts=(True, True, True, True)))
 
 
 class TestEntryAndPolarization:

@@ -334,7 +334,7 @@ class TestPackedKernel:
         def scripted():
             rows = iter(table)
 
-            def scripted_single_pass(state, enclosed):
+            def scripted_single_pass(state, enclosed, *, posts=None):
                 scatter, detect = next(rows)
                 return PassResult(scatter, 0.0, 0.0, detect, 1.0 - scatter - detect, None, state, state, None, None)
 
@@ -389,7 +389,7 @@ class TestPackedKernel:
         """
         rows = 4
 
-        def scripted(state, enclosed):
+        def scripted(state, enclosed, *, posts=None):
             return PassResult(2.0**-41, 2.0**-41, 0.0, 2.0**-40, 1.0 - 2.0**-39, None, state, state, None, None)
 
         ions = balanced_product(0.5)
