@@ -17,6 +17,11 @@ Each figure is the median or the minimum of repeated runs of one call, printed i
 * the first ``mixed --fidelity 0.7`` report of a fresh process, after one single-pass report that
   compiles the traversal function, the median of 5 processes: the cost of the components, paid once
   per process;
+* the first ``iterate --a2 0.5`` report of a fresh process, the median of 5 processes, and how many
+  traversal functions it compiled: one, whichever post states the walk asks for;
+* a steady ``single_pass`` of the balanced ``a2`` 0.7 product, building every post state and none,
+  and ``iterate_numeric`` at ``a2`` 0.03, the median of 2,000 calls each: the traversal and the
+  recycling loop of ROADMAP aim 1;
 * ``monte_carlo`` at seed 1, the median of 20 calls, per call and per trial, each case in a fresh
   process of its own, so that no figure depends on what ran before it: a small scatter-heavy
   run, a large one that resolves mostly in round 1 (set-up heavy), the costliest request class of
@@ -60,7 +65,7 @@ sys.path.insert(0, str(SRC))
 
 from ionmzi import cli  # noqa: E402
 from ionmzi.protocol import IonPairState, bell_psi_plus, single_pass  # noqa: E402
-from ionmzi.recycler import MAX_PASSES, monte_carlo  # noqa: E402
+from ionmzi.recycler import MAX_PASSES, iterate_numeric, monte_carlo  # noqa: E402
 
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 REPORT = ["single-pass", "--a2", "0.5"]
@@ -76,6 +81,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main({MIXED!r})
 print(time.perf_counter() - start)
 """
+ITERATE = ["iterate", "--a2", "0.5"]
+#: A fresh process's first iterate report, in seconds, and the number of traversal functions it compiled.
+FIRST_ITERATE = f"""
+import contextlib, io, time
+from ionmzi import cli, protocol
+with contextlib.redirect_stdout(io.StringIO()):
+    start = time.perf_counter()
+    cli.main({ITERATE!r})
+print(time.perf_counter() - start, protocol._kernel.cache_info().currsize)
+"""
 #: The same report with its value after ``=``: not a plain argv.
 EQUALS = ["single-pass", "--a2=0.5"]
 
@@ -90,11 +105,15 @@ def timed(call, runs: int, pick=statistics.median) -> float:
     return pick(times)
 
 
+def balanced_product(a2: float) -> IonPairState:
+    plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
+    return IonPairState.product(plus, minus, plus, minus)
+
+
 def monte_carlo_medians(a2: float, trial_counts: tuple[int, ...], max_passes: int) -> list[float]:
     """For each of ``trial_counts``, the median wall time of 20 ``monte_carlo`` calls at seed 1 on the balanced
     product of ``a2``, in seconds.  The counts take turns call by call, in reverse order every second turn."""
-    plus, minus = math.sqrt(a2), math.sqrt(1.0 - a2)
-    ions = IonPairState.product(plus, minus, plus, minus)
+    ions = balanced_product(a2)
     times = {trials: [] for trials in trial_counts}
     for turn in range(20):
         for trials in trial_counts if turn % 2 == 0 else reversed(trial_counts):
@@ -137,6 +156,20 @@ def main() -> None:
     first = [float(subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True).stdout) for _ in range(5)]
     print(f"first mixed --fidelity 0.7 report of a fresh process: median {statistics.median(first) * 1e3:.2f} ms"
           " of 5 processes")
+    argv = [sys.executable, "-B", "-c", FIRST_ITERATE]
+    runs = [subprocess.run(argv, env=ENV, capture_output=True, text=True, check=True).stdout.split() for _ in range(5)]
+    first, kernels = statistics.median(float(seconds) for seconds, _ in runs), {int(count) for _, count in runs}
+    print(f"first iterate --a2 0.5 report of a fresh process: median {first * 1e3:.2f} ms of 5 processes,"
+          f" traversal functions compiled: {', '.join(map(str, sorted(kernels)))}")
+
+    ions = balanced_product(0.7)
+    every = timed(lambda: single_pass(ions), 2000)
+    none = timed(lambda: single_pass(ions, posts=(False, False, False, False)), 2000)
+    print(f"steady single_pass of the balanced a2 0.7 product: median {every * 1e6:.2f} us of 2000 calls"
+          f" with every post state, {none * 1e6:.2f} us with none")
+    ions = balanced_product(0.03)
+    walk = timed(lambda: iterate_numeric(ions), 2000)
+    print(f"iterate_numeric at a2 0.03: median {walk * 1e6:.1f} us of 2000 calls")
 
     cases = ((0.5, (1000,), MAX_PASSES), (0.97, (30000,), MAX_PASSES), (0.25, (5400,), MAX_PASSES),
              (0.0, (2048, 20480), 4096))
